@@ -107,4 +107,5 @@ from .statistics import (
     statistic_sup_distance,
     sup_cdf_distance,
     sup_distance_critical_value,
+    sup_null_distance,
 )

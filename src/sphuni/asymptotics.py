@@ -32,7 +32,7 @@ from .samplers import (
     Watson,
     sample,
 )
-from .statistics import sup_cdf_distance
+from .statistics import sup_null_distance
 
 FVML_SHIFT = "fvml"
 QUADRATIC_SHIFT = "quadratic"
@@ -217,7 +217,7 @@ def estimate_distance_mc(model: ModelSpec, pairs: int, seed) -> float:
         xs = sample(model, 2 * (b1 - b0), rng).data
         vals[b0:b1] = np.sum(xs[: b1 - b0] * xs[b1 - b0 :], axis=1)
     vals = np.sort(np.clip(vals, -1.0, 1.0))
-    return sup_cdf_distance(vals, null_inner_cdf(vals, p))
+    return sup_null_distance(vals, p)
 
 
 # ---------------------------------------------------------------------------

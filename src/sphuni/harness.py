@@ -17,7 +17,6 @@ from .distributions import (
     kolmogorov_cdf,
     kolmogorov_quantile,
     normal_quantile,
-    null_inner_cdf,
     packing_gumbel_quantile,
 )
 from .errors import ConfigError, InRegimeError, ParseError
@@ -30,8 +29,10 @@ from .statistics import (
     PROJECTION,
     RAYLEIGH,
     SUP_DISTANCE,
+    _TWO_SIDED_OK,
     statistic_projection,
     sup_cdf_distance,
+    sup_null_distance,
 )
 from .samplers import sample_uniform_direction
 
@@ -77,6 +78,15 @@ class ExperimentConfig:
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"field methods: must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
+        for meth, tail in (self.tails or {}).items():
+            if meth not in methods:
+                raise ConfigError(f"field tails: {meth!r} is not one of methods {methods}")
+            if tail not in ("upper", "two-sided"):
+                raise ConfigError(
+                    f"field tails: {meth} tail must be 'upper' or 'two-sided', got {tail!r}"
+                )
+            if tail == "two-sided" and meth not in _TWO_SIDED_OK:
+                raise ConfigError(f"field tails: {meth} is upper-tailed only")
         if self.calibration not in ("asymptotic", "monte-carlo"):
             raise ConfigError(f"field calibration: got {self.calibration!r}")
         # mapped parameters must be in-regime for every grid point
@@ -198,8 +208,7 @@ def _rep_statistics(smp: UnitPointSet, methods, rng) -> dict[str, float]:
     out: dict[str, float] = {}
     for meth in methods:
         if meth == SUP_DISTANCE:
-            f = null_inner_cdf(v, p)
-            out[meth] = sup_cdf_distance(v, f)
+            out[meth] = sup_null_distance(v, p)
         elif meth == RAYLEIGH:
             out[meth] = math.sqrt(2.0 * p) / n * float(np.sum(v))
         elif meth == BINGHAM:
@@ -381,7 +390,7 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
         rng = _cell_rng(master, "uniform", 0, rep)
         smp = sample(Uniform(p), n, rng)
         ip = pairwise_inner_products(smp)
-        return scale * sup_cdf_distance(ip.values, null_inner_cdf(ip.values, p))
+        return scale * sup_null_distance(ip.values, p)
 
     vals = np.sort(np.asarray(_pmap(one_rep, range(reps), threads)))
     return sup_cdf_distance(vals, kolmogorov_cdf(vals))
@@ -431,12 +440,21 @@ def run_nonlocal_experiment(
     values.  At the boundary p = 2 n^2 that probability is about 0.22,
     and both tests reject at about that rate; the moment-based and
     packing tests stay near level only when p/n^2 is large (e.g. n = 20,
-    p = 5000 gives 0.037).  kind "alphaspherical" takes the tail
+    p = 5000 gives 0.037).  A UserWarning gives the probability when
+    n(n-1)/(2(p+1)) exceeds 0.05.  kind "alphaspherical" takes the tail
     index as `model_param` (default 1.0).
     """
     if kind == "capmixture":
         if p < 2 * n * n:
             raise ConfigError(f"capmixture needs p >= 2 n^2, got n={n}, p={p}")
+        shared = n * (n - 1) / (2.0 * (p + 1))
+        if shared > 0.05:
+            warnings.warn(
+                f"capmixture at n={n}, p={p}: two draws share a cap with probability "
+                f"{-math.expm1(-shared):.3f}, and the Bingham and packing tests reject "
+                "at about that rate",
+                stacklevel=2,
+            )
         model = CapMixture(p, model_param)
     elif kind == "alphaspherical":
         model = AlphaSpherical(p, 1.0 if model_param is None else model_param)

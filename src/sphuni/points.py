@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,11 +86,20 @@ def make_unit_point_set(raw, normalize: bool = False) -> UnitPointSet:
     return UnitPointSet(out)
 
 
+@lru_cache(maxsize=4)
+def _upper_flat_indices(n: int) -> np.ndarray:
+    """Row-major flat indices of the strict upper triangle of an n x n matrix."""
+    idx = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
+    idx.setflags(write=False)
+    return idx
+
+
 def pairwise_inner_products(s: UnitPointSet) -> InnerProductList:
     """All inner products X_i . X_j for i < j, clamped to [-1, 1], sorted."""
     gram = s.data @ s.data.T
-    iu = np.triu_indices(s.n, k=1)
-    vals = np.sort(np.clip(gram[iu], -1.0, 1.0))
+    vals = gram.ravel()[_upper_flat_indices(s.n)]
+    np.clip(vals, -1.0, 1.0, out=vals)
+    vals.sort()
     vals.setflags(write=False)
     return InnerProductList(vals, s.n)
 

@@ -266,7 +266,8 @@ def _uniform_rows(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
         bad = norms < 1e-12
         x[bad] = rng.standard_normal((int(bad.sum()), p))
         norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
+    x /= norms[:, None]
+    return x
 
 
 def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -281,7 +282,8 @@ def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     full = np.zeros((w.shape[0], p))
     full[:, 1:] = w
     coef = (full @ v) * (2.0 / vnorm2)
-    return full - coef[:, None] * v[None, :]
+    full -= coef[:, None] * v
+    return full
 
 
 def sample_tangent_normal(
@@ -297,9 +299,11 @@ def sample_tangent_normal(
         raise DomainError(f"marginal was built for p={marginal.p}, not p={p}")
     tbl = _marginal_table(marginal.p, marginal.kappa, marginal.power)
     t = np.asarray(tbl(rng.random(n)))
-    w = _uniform_rows(n, p - 1, rng)
-    tang = _tangent_frame_rows(mu, w)
-    x = t[:, None] * mu[None, :] + np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[:, None] * tang
+    x = _tangent_frame_rows(mu, _uniform_rows(n, p - 1, rng))
+    # sqrt(1 - t^2) * tang + t * mu, built in tang's buffer; addition
+    # commutes, so the order of the two terms does not change a bit
+    x *= np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[:, None]
+    x += t[:, None] * mu
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     return x
 

@@ -45,11 +45,58 @@ def sup_cdf_distance(values, cdf_values) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
+# (smallest N, block widths): sup_null_distance evaluates F on a grid of
+# the first width, refines the surviving blocks at each further width and
+# evaluates the last survivors value by value; below 1024 values the grid
+# is every value.  Chosen from timings on sorted uniform and FvML pairwise
+# inner products at N from 66 to 500k, with p from 5 to 1000.
+_SUP_BLOCKS = ((1 << 16, (64, 8)), (1 << 12, (32, 8)), (1 << 10, (8,)), (0, ()))
+# betainc is monotone in x only to a few ulps; block bounds get this slack
+_MONOTONE_SLACK = 1e-12
+
+
+def sup_null_distance(values, p: int) -> float:
+    """Exactly `sup_cdf_distance(values, null_inner_cdf(values, p))`.
+
+    `values` must be sorted ascending.  F = null_inner_cdf is monotone,
+    so on a block v[a..b] (0-based j) every term (j+1)/N - F_j is at most
+    (b+1)/N - F(v_a) and every F_j - j/N at most F(v_b) - a/N.  F is
+    evaluated at block endpoints only; a block is refined, and at the
+    last level evaluated value by value, only while its bound still
+    reaches the largest term found so far.  The result is the maximum of
+    the same per-value terms as `sup_cdf_distance`, so it is the same float.
+    """
+    v = np.asarray(values, dtype=float)
+    n = len(v)
+    if n == 0:
+        raise DomainError("need at least one value")
+    widths = next(w for lo, w in _SUP_BLOCKS if n >= lo) + (1,)
+    width = widths[0]
+    a = np.arange(0, n - 1 + width, width)
+    a[-1] = n - 1
+    fa = null_inner_cdf(v[a], p)
+    best = max(np.max((a + 1) / n - fa), np.max(fa - a / n))
+    a, b, fa, fb = a[:-1], a[1:], fa[:-1], fa[1:]
+    for step in widths[1:]:
+        bound = np.maximum((b + 1) / n - fa, fb - a / n)
+        keep = np.flatnonzero(bound >= best - _MONOTONE_SLACK)
+        a, b, fa, fb = a[keep, None], b[keep, None], fa[keep, None], fb[keep, None]
+        j = np.minimum(a + np.arange(step, width, step), b)
+        fj = null_inner_cdf(v[j], p)
+        best = max(best, np.max((j + 1) / n - fj), np.max(fj - j / n))
+        if step == 1:
+            break
+        a, b = np.hstack([a, j]).ravel(), np.hstack([j, b]).ravel()
+        fa, fb = np.hstack([fa, fj]).ravel(), np.hstack([fj, fb]).ravel()
+        width = step
+    return float(best)
+
+
 def statistic_sup_distance(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """Sup distance between the empirical pairwise inner-product CDF and
     the exact null CDF.  Always in [0, 1]."""
     ip = ip if ip is not None else pairwise_inner_products(s)
-    return sup_cdf_distance(ip.values, null_inner_cdf(ip.values, s.p))
+    return sup_null_distance(ip.values, s.p)
 
 
 def statistic_rayleigh(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
@@ -84,7 +131,7 @@ def statistic_projection(s: UnitPointSet, direction) -> float:
     if u.shape != (s.p,) or abs(np.linalg.norm(u) - 1.0) > 1e-8:
         raise DomainError("direction must be a unit p-vector")
     proj = np.sort(np.clip(s.data @ u, -1.0, 1.0))
-    return sup_cdf_distance(proj, null_inner_cdf(proj, s.p))
+    return sup_null_distance(proj, s.p)
 
 
 _STAT_FUNCS = {

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ def test_config_invariants():
         _cfg(methods=("nope",))
     with pytest.raises(ConfigError, match="alpha"):
         _cfg(alpha=1.5)
+
+
+def test_config_tails_key_must_be_a_method():
+    with pytest.raises(ConfigError, match="field tails: 'bingham'"):
+        _cfg(tails={"rayleigh": "upper", "bingham": "upper"})
+
+
+def test_config_tails_value_must_be_known():
+    # "lower" used to be accepted and silently run upper-tailed
+    with pytest.raises(ConfigError, match="field tails: rayleigh .*'lower'"):
+        _cfg(tails={"rayleigh": "lower"})
+
+
+def test_config_tails_two_sided_only_where_allowed():
+    with pytest.raises(ConfigError, match="field tails: sup_distance is upper-tailed"):
+        _cfg(tails={"sup_distance": "two-sided"})
 
 
 def test_signal_maps():
@@ -212,6 +229,19 @@ def test_export_csv_format(tmp_path):
 def test_nonlocal_capmixture_requires_regime():
     with pytest.raises(ConfigError, match="2 n"):
         run_nonlocal_experiment("capmixture", 50, 100, 0.05, 100, seed=1)
+
+
+def test_nonlocal_capmixture_warns_on_cap_collisions():
+    # p = 2 n^2: two of 50 draws share one of 5001 caps with probability 0.217
+    with pytest.warns(UserWarning, match="probability 0.217"):
+        run_nonlocal_experiment("capmixture", 50, 5000, 0.05, 2, seed=1)
+
+
+def test_nonlocal_capmixture_no_warning_where_collisions_are_rare():
+    # n(n-1)/(2(p+1)) = 0.038 at n = 20, p = 5000 (acceptance criterion 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_nonlocal_experiment("capmixture", 20, 5000, 0.05, 2, seed=1)
 
 
 def test_nonlocal_alphaspherical_smoke():

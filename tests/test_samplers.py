@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -45,6 +46,36 @@ def test_different_stream_differs():
     a = sample(Uniform(10), 20, RngSeed(123, 0))
     b = sample(Uniform(10), 20, RngSeed(123, 1))
     assert not np.array_equal(a.data, b.data)
+
+
+# sha256 of the float64 bytes, recorded with numpy 2.4.6 and scipy 1.17.1
+# (x86-64, the OpenBLAS numpy bundles) before the samplers and the
+# pairwise layer were rewritten to work in place; a rewrite must leave
+# every stream where it was.  FvML, Watson, rotated low-rank and the
+# pairwise values pass through BLAS, whose kernels may round differently
+# on another CPU family.
+_STREAM_DIGESTS = {
+    "Uniform": "f528cff637424688c5a4ba92b89d21222aef9c2165ef3febf94cb3740e2f2a81",
+    "Fvml": "2d42f6840d8adfbde8edb11bb5e1aa0e2a9bc6aea6a12733f58c1706bf71591e",
+    "Watson": "549af5f89ba87c5c9343f24ca1bf2608c64c174065abb436e311ad7c2d863099",
+    "LowRank": "2538b628c279e97c550ac9d75f11b8a380f1d70d29ee01999f3236e0bc32bbf5",
+    "AlphaSpherical": "bf22f2a48833b8b8e0f1923bf13710e43a34c42624734a958a6c6059020987a6",
+    "CapMixture": "573578ec998601497e150013ada71fc04743090e0c8e7f35d70d589f12ddfa9f",
+}
+_PAIRWISE_DIGEST = "9e78f7c9db558d9e08cd9928e0b2e3781e317e070f7abc2d86c8c4a5c860348b"
+
+
+def _digest(arr):
+    return hashlib.sha256(arr.tobytes()).hexdigest()
+
+
+def test_sample_streams_unchanged():
+    models = (Uniform(25), Fvml(25, 6.0), Watson(25, 8.0), LowRank(25, 5, rotate=True),
+              AlphaSpherical(25, 1.2), CapMixture(25))
+    got = {type(m).__name__: _digest(sample(m, 40, RngSeed(2024, 3)).data) for m in models}
+    assert got == _STREAM_DIGESTS
+    ip = pairwise_inner_products(sample(Fvml(25, 6.0), 40, RngSeed(2024, 3)))
+    assert _digest(ip.values) == _PAIRWISE_DIGEST
 
 
 def test_sample_requires_two_points():

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from sphuni import (
     BadTailError,
     CalibrationUnavailableError,
+    CapMixture,
     DomainError,
+    Fvml,
+    LowRank,
     RngSeed,
     Uniform,
+    Watson,
     apply_rotation,
     calibrate_critical_value_mc,
     kolmogorov_sf,
@@ -27,6 +32,7 @@ from sphuni import (
     statistic_sup_distance,
     sup_cdf_distance,
     sup_distance_critical_value,
+    sup_null_distance,
 )
 
 
@@ -82,6 +88,62 @@ def test_jump_formula_equals_brute_force_small_samples():
         got = sup_cdf_distance(ip.values, null_inner_cdf(ip.values, p))
         want = brute_force_sup(ip.values, p, grid_points=10**5)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+def _exactness_samples(n, p, seed):
+    models = (Uniform(p), Fvml(p, 2.0 * p**0.75 / math.sqrt(n)), Watson(p, 0.2 * p),
+              LowRank(p, max(2, p // 2)), CapMixture(p))
+    for i, model in enumerate(models):
+        data = sample(model, n, RngSeed(seed, i)).data
+        yield data
+        # repeated rows: tied values and values clamped at exactly 1
+        yield np.vstack([data, data[: max(1, n // 4)]])
+
+
+@pytest.mark.parametrize("n", [3, 12, 80, 100, 400])
+def test_sup_null_distance_equals_full_evaluation(n):
+    # N = 3 and 66 are evaluated value by value; 3160, 4950 and 79800 each
+    # use another block rule
+    p = 40
+    for data in _exactness_samples(n, p, seed=1000 + n):
+        v = pairwise_inner_products(make_unit_point_set(data)).values
+        assert sup_null_distance(v, p) == sup_cdf_distance(v, null_inner_cdf(v, p))
+
+
+def _null_quantiles(count, p):
+    a = (p - 1) / 2.0
+    return 2.0 * special.betaincinv(a, a, (np.arange(count) + 0.5) / count) - 1.0
+
+
+@pytest.mark.parametrize("count", [1500, 5000, 70000])
+def test_sup_null_distance_maximum_at_block_edges(count):
+    # values at the null quantiles, so every term is about 1/(2N), with one
+    # run of ties that puts a 3.5/N term on the first or last index of a block
+    p = 30
+    base = _null_quantiles(count, p)
+    for k in (0, 8, 32, 64, 128, 7, 31, 63, 127, 1023, 1024, count - 1):
+        for side in ("lower", "upper"):
+            v = base.copy()
+            if side == "lower" and k + 3 < count:
+                v[k : k + 4] = v[k + 3]  # F_k - k/N is the largest term
+            elif side == "upper" and k >= 3:
+                v[k - 3 : k + 1] = v[k - 3]  # (k+1)/N - F_k is the largest term
+            else:
+                continue
+            f = null_inner_cdf(v, p)
+            j = np.arange(count)
+            terms = np.maximum((j + 1) / count - f, f - j / count)
+            assert np.argmax(terms) == k
+            assert sup_null_distance(v, p) == sup_cdf_distance(v, f)
+
+
+def test_sup_null_distance_rejects_what_full_evaluation_rejects():
+    with pytest.raises(DomainError):
+        sup_null_distance(np.array([]), 5)
+    with pytest.raises(DomainError):
+        sup_null_distance(np.linspace(-1.0, 1.5, 2000), 5)
+    with pytest.raises(DomainError):
+        sup_null_distance(np.linspace(-1.0, 1.0, 2000), 1)
 
 
 # ---------------------------------------------------------------------------
