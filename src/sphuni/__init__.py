@@ -19,7 +19,6 @@ from .asymptotics import (
     fvml_llr_second_moment,
     model_inner_cdf,
     predict_asymptotic_power,
-    shift_value,
     simulate_bridge_sup,
 )
 from .distributions import (

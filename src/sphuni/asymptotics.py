@@ -71,10 +71,6 @@ class ShiftFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def shift_value(shift: ShiftFunction, t):
-    return shift.value(t)
-
-
 # ---------------------------------------------------------------------------
 # model CDF of sqrt(p) X.Y and the distance to uniformity
 
@@ -94,13 +90,24 @@ def _pair_nodes(marg, n_nodes: int = 96, panels: int = 4):
 
 @lru_cache(maxsize=32)
 def _pair_grid(p: int, kappa: float, power: int, n_nodes: int = 96):
+    """The (T, T') quadrature grid, stored once per unordered node pair.
+
+    t_i t_j and alpha_i alpha_j are bitwise symmetric in (i, j), since
+    IEEE multiplication commutes, so only the upper triangle i <= j is
+    kept: `uprod` and `uscale` hold its products, and `lut` maps each
+    column of the full row-major n x n grid to its unordered pair.
+    `weight` stays the full outer product of the node weights.
+    """
     marg = fvml_marginal(kappa, p) if power == 1 else watson_marginal(kappa, p)
     t, wt = _pair_nodes(marg, n_nodes=n_nodes)
-    prod = np.multiply.outer(t, t).ravel()
     alpha = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    scale = np.multiply.outer(alpha, alpha).ravel()
+    i, j = np.triu_indices(len(t))
+    uprod = t[i] * t[j]
+    uscale = alpha[i] * alpha[j]
+    pair = np.empty((len(t), len(t)), dtype=np.intp)
+    pair[i, j] = pair[j, i] = np.arange(len(i))
     weight = np.multiply.outer(wt, wt).ravel()
-    return prod, scale, weight
+    return uprod, uscale, pair.ravel(), weight
 
 
 def model_inner_cdf(model: ModelSpec, u):
@@ -134,14 +141,19 @@ def model_inner_cdf(model: ModelSpec, u):
 
 
 def _tilted_inner_cdf(u: np.ndarray, p: int, kappa: float, power: int) -> np.ndarray:
-    prod, scale, weight = _pair_grid(p, float(kappa), power)
+    uprod, uscale, lut, weight = _pair_grid(p, float(kappa), power)
     rt_p = math.sqrt(p)
     out = np.empty(len(u))
-    block = max(1, (1 << 22) // len(prod))
+    # the block height is set by the full grid: the matvec's row grouping
+    # fixes the last ulp of each row
+    block = max(1, (1 << 22) // len(weight))
     for b0 in range(0, len(u), block):
         ub = u[b0 : b0 + block, None]
-        arg = np.clip((ub / rt_p - prod[None, :]) / scale[None, :], -1.0, 1.0)
-        out[b0 : b0 + block] = null_inner_cdf(arg, p - 1) @ weight
+        arg = np.clip((ub / rt_p - uprod[None, :]) / uscale[None, :], -1.0, 1.0)
+        cdf = null_inner_cdf(arg, p - 1)
+        # np.take keeps the gathered block C-ordered; a fancy-indexed
+        # cdf[:, lut] is Fortran-ordered and BLAS then rounds differently
+        out[b0 : b0 + block] = np.take(cdf, lut, axis=1) @ weight
     return out
 
 
@@ -172,6 +184,10 @@ def distance_from_uniformity(
     effective supports, then refined around the running maximum until
     the improvement falls below `tol`.
     """
+    if grid_size < 2:
+        raise DomainError(f"grid_size must be >= 2, got {grid_size}")
+    if not tol > 0:
+        raise DomainError(f"tol must be > 0, got {tol}")
     if isinstance(model, (AlphaSpherical, CapMixture)):
         raise DomainError(
             f"{type(model).__name__} has no quadrature route; use estimate_distance_mc"

@@ -11,10 +11,8 @@ from .distributions import (
     kolmogorov_quantile,
     kolmogorov_sf,
     normal_cdf,
-    normal_quantile,
     null_inner_cdf,
     packing_gumbel_cdf,
-    packing_gumbel_quantile,
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
 from .points import InnerProductList, UnitPointSet, pairwise_inner_products
@@ -278,13 +276,3 @@ def calibrate_critical_value_mc(
 def sup_distance_critical_value(n: int, alpha: float) -> float:
     """sqrt(2) c_alpha / sqrt(n(n-1)), the exact asymptotic threshold."""
     return math.sqrt(2.0) * kolmogorov_quantile(alpha) / math.sqrt(n * (n - 1.0))
-
-
-def rayleigh_critical_value(alpha: float, tail: str = "upper") -> float:
-    if tail == "upper":
-        return float(normal_quantile(1.0 - alpha))
-    return float(normal_quantile(1.0 - alpha / 2.0))
-
-
-def packing_critical_value(alpha: float) -> float:
-    return packing_gumbel_quantile(alpha)

@@ -17,6 +17,7 @@ from sphuni import (
     distance_from_uniformity,
     estimate_distance_mc,
     fvml_llr_second_moment,
+    fvml_marginal,
     model_inner_cdf,
     normal_cdf,
     normal_pdf,
@@ -24,10 +25,10 @@ from sphuni import (
     null_inner_cdf,
     predict_asymptotic_power,
     sample,
-    shift_value,
     simulate_bridge_sup,
     watson_marginal,
 )
+from sphuni import asymptotics
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -39,24 +40,24 @@ SQRT2PI = math.sqrt(2 * math.pi)
 def test_shifts_vanish_at_endpoints():
     for kind in ("fvml", "quadratic"):
         s = ShiftFunction(kind, 1.7)
-        assert shift_value(s, 0.0) == 0.0
-        assert shift_value(s, 1.0) == 0.0
+        assert s.value(0.0) == 0.0
+        assert s.value(1.0) == 0.0
 
 
 def test_fvml_shift_at_half():
     s = ShiftFunction("fvml", 1.0)
-    assert shift_value(s, 0.5) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
-    assert shift_value(s, 0.5) == pytest.approx(0.28209, abs=5e-6)
+    assert s.value(0.5) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), abs=1e-12)
+    assert s.value(0.5) == pytest.approx(0.28209, abs=5e-6)
 
 
 def test_quadratic_shift_value_and_max():
     s = ShiftFunction("quadratic", 1.0)
     t1 = float(normal_cdf(1.0))
-    assert shift_value(s, t1) == pytest.approx(normal_pdf(1.0) / (2 * math.sqrt(2)), abs=1e-12)
-    assert shift_value(s, t1) == pytest.approx(0.0855496, abs=1e-6)
+    assert s.value(t1) == pytest.approx(normal_pdf(1.0) / (2 * math.sqrt(2)), abs=1e-12)
+    assert s.value(t1) == pytest.approx(0.0855496, abs=1e-6)
     # |u phi(u)| peaks at u = 1, so the global max is tau/(4 sqrt(pi e))
     t = np.linspace(0, 1, 20001)
-    got = np.max(np.abs(shift_value(s, t)))
+    got = np.max(np.abs(s.value(t)))
     assert got == pytest.approx(1.0 / (4.0 * math.sqrt(math.pi * math.e)), abs=1e-6)
 
 
@@ -64,7 +65,7 @@ def test_shift_validation():
     with pytest.raises(DomainError):
         ShiftFunction("cubic", 1.0)
     with pytest.raises(DomainError):
-        shift_value(ShiftFunction("fvml", 1.0), 1.5)
+        ShiftFunction("fvml", 1.0).value(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,75 @@ def test_watson_cdf_matches_sampler_monte_carlo():
     assert abs(want - est) <= 3.0 * se
 
 
+def _full_grid_cdf(u, p, kappa, power):
+    """The tilted CDF on the full 96 x 96 (T, T') grid, one betainc per
+    ordered node pair, reduced in the product code's 455-row blocks."""
+    marg = fvml_marginal(kappa, p) if power == 1 else watson_marginal(kappa, p)
+    t, wt = asymptotics._pair_nodes(marg)
+    alpha = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    prod = np.multiply.outer(t, t).ravel()
+    scale = np.multiply.outer(alpha, alpha).ravel()
+    weight = np.multiply.outer(wt, wt).ravel()
+    block = (1 << 22) // 9216
+    out = np.empty(len(u))
+    for b0 in range(0, len(u), block):
+        ub = u[b0 : b0 + block, None]
+        arg = np.clip((ub / math.sqrt(p) - prod[None, :]) / scale[None, :], -1.0, 1.0)
+        out[b0 : b0 + block] = null_inner_cdf(arg, p - 1) @ weight
+    return out
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("p", [5, 60, 1000])
+def test_tilted_cdf_equals_full_grid(power, p):
+    # the grid is stored once per unordered node pair; the result must
+    # be == to the full ordered-pair grid for 1 and 17 rows, one block
+    # plus one row, and two blocks plus one row
+    kappa = p**0.75 / 2.0
+    for rows in (1, 17, 456, 911):
+        u = np.linspace(-6.0, 6.0 + math.sqrt(p) * 0.1, rows) if rows > 1 else np.array([0.3])
+        got = asymptotics._tilted_inner_cdf(u, p, kappa, power)
+        assert np.array_equal(got, _full_grid_cdf(u, p, kappa, power)), (power, p, rows)
+
+
+def test_tilted_cdf_evaluates_each_unordered_pair_once(monkeypatch):
+    uprod, uscale, lut, weight = asymptotics._pair_grid(60, 3.0, 1)
+    assert uprod.shape == uscale.shape == (96 * 97 // 2,)
+    assert lut.shape == weight.shape == (96 * 96,)
+    pair = lut.reshape(96, 96)
+    assert np.array_equal(pair, pair.T)
+    assert np.array_equal(np.unique(lut), np.arange(96 * 97 // 2))
+    shapes = []
+    real = asymptotics.null_inner_cdf
+
+    def spy(t, p):
+        shapes.append(np.shape(t))
+        return real(t, p)
+
+    monkeypatch.setattr(asymptotics, "null_inner_cdf", spy)
+    asymptotics._tilted_inner_cdf(np.linspace(-3.0, 3.0, 500), 60, 3.0, 1)
+    assert shapes == [(455, 4656), (45, 4656)]
+
+
 # ---------------------------------------------------------------------------
 # distance from uniformity
+
+
+def test_distance_pinned_value():
+    # recorded before the quadrature grid was halved to unordered pairs
+    assert repr(distance_from_uniformity(Fvml(200, 1.0))) == "0.00014121682313905648"
+
+
+@pytest.mark.parametrize("grid_size", [1, 0, -5])
+def test_distance_rejects_small_grid(grid_size):
+    with pytest.raises(DomainError, match=f"grid_size must be >= 2, got {grid_size}"):
+        distance_from_uniformity(Fvml(50, 1.0), grid_size=grid_size)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, float("nan")])
+def test_distance_rejects_nonpositive_tol(tol):
+    with pytest.raises(DomainError, match="tol must be > 0"):
+        distance_from_uniformity(Fvml(50, 1.0), tol=tol)
 
 
 def test_distance_zero_signal():
