@@ -20,7 +20,6 @@ from .distributions import (
     packing_gumbel_quantile,
 )
 from .errors import ConfigError, InRegimeError, ParseError
-from .points import UnitPointSet, pairwise_inner_products
 from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, sample
 from .statistics import (
     BINGHAM,
@@ -30,11 +29,11 @@ from .statistics import (
     RAYLEIGH,
     SUP_DISTANCE,
     _TWO_SIDED_OK,
-    statistic_projection,
+    _null_statistics,
+    _scores,
+    statistic_sup_distance,
     sup_cdf_distance,
-    sup_null_distance,
 )
-from .samplers import sample_uniform_direction
 
 _FAMILIES = ("uniform", "fvml", "watson", "lowrank", "alphaspherical", "capmixture")
 _FAMILY_ID = {name: i for i, name in enumerate(_FAMILIES)}
@@ -78,6 +77,8 @@ class ExperimentConfig:
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"field methods: must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
+        if PACKING in methods and self.n < 3:
+            raise ConfigError(f"field n: the packing statistic needs n >= 3, got {self.n}")
         for meth, tail in (self.tails or {}).items():
             if meth not in methods:
                 raise ConfigError(f"field tails: {meth!r} is not one of methods {methods}")
@@ -198,26 +199,7 @@ def signal_model(family: str, n: int, p: int, tau: float):
 
 
 # ---------------------------------------------------------------------------
-# per-replication statistics
-
-
-def _rep_statistics(smp: UnitPointSet, methods, rng) -> dict[str, float]:
-    ip = pairwise_inner_products(smp)
-    v = ip.values
-    n, p = smp.n, smp.p
-    out: dict[str, float] = {}
-    for meth in methods:
-        if meth == SUP_DISTANCE:
-            out[meth] = sup_null_distance(v, p)
-        elif meth == RAYLEIGH:
-            out[meth] = math.sqrt(2.0 * p) / n * float(np.sum(v))
-        elif meth == BINGHAM:
-            out[meth] = p / n * float(np.sum(v * v) - len(v) / p)
-        elif meth == PACKING:
-            out[meth] = float(p * np.max(v * v) - 4.0 * math.log(n) + math.log(math.log(n)))
-        elif meth == PROJECTION:
-            out[meth] = statistic_projection(smp, sample_uniform_direction(p, rng))
-    return out
+# critical values and decisions
 
 
 def _critical_values(
@@ -234,13 +216,8 @@ def _critical_values(
     crit: dict[str, float] = {}
     tails = tails or {}
     if calibration == "monte-carlo":
-        from .statistics import calibrate_critical_value_mc
-
-        for meth in methods:
-            crit[meth] = calibrate_critical_value_mc(
-                n, p, meth, alpha, max(1000, mc_reps), _calibration_seed(seed)
-            )
-        return crit
+        null = _null_statistics(n, p, methods, max(1000, mc_reps), _calibration_seed(seed))
+        return {m: float(np.quantile(null[m], 1.0 - alpha, method="higher")) for m in methods}
     for meth in methods:
         tail = tails.get(meth, "upper")
         if meth == SUP_DISTANCE:
@@ -345,7 +322,7 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
         def one_rep(rep, _model=model, _ti=tau_idx):
             rng = _cell_rng(cfg.seed, cfg.model_family, _ti, rep)
             smp = sample(_model, cfg.n, rng)
-            return _rep_statistics(smp, cfg.methods, rng)
+            return _scores(smp, cfg.methods, rng)
 
         stats = _pmap(one_rep, range(cfg.reps), threads)
         for meth in cfg.methods:
@@ -389,8 +366,7 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     def one_rep(rep):
         rng = _cell_rng(master, "uniform", 0, rep)
         smp = sample(Uniform(p), n, rng)
-        ip = pairwise_inner_products(smp)
-        return scale * sup_null_distance(ip.values, p)
+        return scale * statistic_sup_distance(smp)
 
     vals = np.sort(np.asarray(_pmap(one_rep, range(reps), threads)))
     return sup_cdf_distance(vals, kolmogorov_cdf(vals))
@@ -442,8 +418,11 @@ def run_nonlocal_experiment(
     packing tests stay near level only when p/n^2 is large (e.g. n = 20,
     p = 5000 gives 0.037).  A UserWarning gives the probability when
     n(n-1)/(2(p+1)) exceeds 0.05.  kind "alphaspherical" takes the tail
-    index as `model_param` (default 1.0).
+    index as `model_param` (default 1.0).  The packing statistic needs
+    n >= 3.
     """
+    if n < 3:
+        raise ConfigError(f"the packing statistic needs n >= 3, got n={n}")
     if kind == "capmixture":
         if p < 2 * n * n:
             raise ConfigError(f"capmixture needs p >= 2 n^2, got n={n}, p={p}")
@@ -468,7 +447,7 @@ def run_nonlocal_experiment(
     def one_rep(rep):
         rng = _cell_rng(master, fam, 0, rep)
         smp = sample(model, n, rng)
-        return _rep_statistics(smp, methods, rng)
+        return _scores(smp, methods, rng)
 
     stats = _pmap(one_rep, range(reps), threads)
     rates = {

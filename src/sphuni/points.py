@@ -32,6 +32,21 @@ class UnitPointSet:
     def p(self) -> int:
         return self.data.shape[1]
 
+    @property
+    def inner_products(self) -> InnerProductList:
+        """`pairwise_inner_products(self)`, computed on first use and kept
+        while the set lives (8 n(n-1)/2 bytes).
+
+        Kept in the instance dict rather than a dataclass field, so that
+        building a set costs nothing extra, and without a lock: threads
+        that race on the first use compute the same values, and
+        `dict.setdefault` hands every one of them the object stored first.
+        """
+        ip = self.__dict__.get("_inner_products")
+        if ip is None:
+            ip = self.__dict__.setdefault("_inner_products", pairwise_inner_products(self))
+        return ip
+
 
 @dataclass(frozen=True, eq=False)
 class InnerProductList:
@@ -95,7 +110,10 @@ def _upper_flat_indices(n: int) -> np.ndarray:
 
 
 def pairwise_inner_products(s: UnitPointSet) -> InnerProductList:
-    """All inner products X_i . X_j for i < j, clamped to [-1, 1], sorted."""
+    """All inner products X_i . X_j for i < j, clamped to [-1, 1], sorted.
+
+    Computed afresh on every call; `s.inner_products` keeps one copy.
+    """
     gram = s.data @ s.data.T
     vals = gram.ravel()[_upper_flat_indices(s.n)]
     np.clip(vals, -1.0, 1.0, out=vals)

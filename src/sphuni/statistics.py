@@ -15,7 +15,7 @@ from .distributions import (
     packing_gumbel_cdf,
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
-from .points import InnerProductList, UnitPointSet, pairwise_inner_products
+from .points import InnerProductList, UnitPointSet
 from .samplers import RngSeed, Uniform, sample, sample_uniform_direction
 
 SUP_DISTANCE = "sup_distance"
@@ -93,19 +93,19 @@ def sup_null_distance(values, p: int) -> float:
 def statistic_sup_distance(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """Sup distance between the empirical pairwise inner-product CDF and
     the exact null CDF.  Always in [0, 1]."""
-    ip = ip if ip is not None else pairwise_inner_products(s)
+    ip = ip if ip is not None else s.inner_products
     return sup_null_distance(ip.values, s.p)
 
 
 def statistic_rayleigh(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """sqrt(2p)/n times the sum of pairwise inner products (N(0,1) null limit)."""
-    ip = ip if ip is not None else pairwise_inner_products(s)
+    ip = ip if ip is not None else s.inner_products
     return float(math.sqrt(2.0 * s.p) / s.n * np.sum(ip.values))
 
 
 def statistic_bingham(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """p/n times the centered sum of squared pairwise inner products."""
-    ip = ip if ip is not None else pairwise_inner_products(s)
+    ip = ip if ip is not None else s.inner_products
     v = ip.values
     return float(s.p / s.n * (np.sum(v * v) - len(v) / s.p))
 
@@ -117,7 +117,7 @@ def statistic_packing(s: UnitPointSet, ip: InnerProductList | None = None) -> fl
     """
     if s.n < 3:
         raise DomainError("packing statistic needs n >= 3")
-    ip = ip if ip is not None else pairwise_inner_products(s)
+    ip = ip if ip is not None else s.inner_products
     v = ip.values
     return float(s.p * np.max(v * v) - 4.0 * math.log(s.n) + math.log(math.log(s.n)))
 
@@ -138,6 +138,17 @@ _STAT_FUNCS = {
     BINGHAM: statistic_bingham,
     PACKING: statistic_packing,
 }
+
+
+def _scores(s: UnitPointSet, methods, rng) -> dict[str, float]:
+    """Each of `methods` on one sample; projection draws its direction
+    from `rng`, after whatever drew the sample."""
+    return {
+        meth: statistic_projection(s, sample_uniform_direction(s.p, rng))
+        if meth == PROJECTION
+        else _STAT_FUNCS[meth](s)
+        for meth in methods
+    }
 
 
 @dataclass(frozen=True)
@@ -233,7 +244,7 @@ def run_test(
         raise CalibrationUnavailableError(
             "monte-carlo calibration needs mc_seed for reproducible null draws"
         )
-    null_stats = _null_statistics(s.n, s.p, method, mc_reps, mc_seed)
+    null_stats = _null_statistics(s.n, s.p, (method,), mc_reps, mc_seed)[method]
     obs = abs(stat) if tail == "two-sided" else stat
     ref = np.abs(null_stats) if tail == "two-sided" else null_stats
     crit = float(np.quantile(ref, 1.0 - alpha, method="higher"))
@@ -243,20 +254,31 @@ def run_test(
     return TestOutcome(method, stat, standardized, p_value, bool(reject), alpha, tail, label)
 
 
-def _null_statistics(n: int, p: int, method: str, reps: int, seed) -> np.ndarray:
-    """Statistics of `reps` seeded null samples, one stream per replication."""
+def _null_statistics(n: int, p: int, methods, reps: int, seed) -> dict[str, np.ndarray]:
+    """Each of `methods` on `reps` seeded null samples, scored in one pass.
+
+    Replication r draws from `RngSeed(master, r)`, so the seed is an int
+    or an `RngSeed` of stream 0; both give the same null samples.
+    """
     if reps < 1:
         raise DomainError("reps must be >= 1")
-    master = seed.master if isinstance(seed, RngSeed) else int(seed)
-    out = np.empty(reps)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown method {unknown[0]!r}; choose from {METHODS}")
+    if isinstance(seed, RngSeed):
+        if seed.stream != 0:
+            raise DomainError(
+                f"mc_seed: null replication r draws from stream r, so an RngSeed "
+                f"must have stream 0, got {seed}"
+            )
+        seed = seed.master
+    master = int(seed)
     model = Uniform(p)
+    out = {m: np.empty(reps) for m in methods}
     for r in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(r,)))
-        smp = sample(model, n, rng)
-        if method == PROJECTION:
-            out[r] = statistic_projection(smp, sample_uniform_direction(p, rng))
-        else:
-            out[r] = _STAT_FUNCS[method](smp)
+        for m, v in _scores(sample(model, n, rng), methods, rng).items():
+            out[m][r] = v
     return out
 
 
@@ -269,7 +291,7 @@ def calibrate_critical_value_mc(
         raise DomainError("calibration needs reps >= 1000")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    stats = _null_statistics(n, p, method, reps, seed)
+    stats = _null_statistics(n, p, (method,), reps, seed)[method]
     return float(np.quantile(stats, 1.0 - alpha, method="higher"))
 
 

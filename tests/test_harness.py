@@ -22,6 +22,8 @@ from sphuni import (
     run_size_experiment,
     signal_model,
 )
+from sphuni.harness import _calibration_seed, _critical_values
+from sphuni.statistics import METHODS, calibrate_critical_value_mc
 
 
 def _cfg(**over):
@@ -106,6 +108,12 @@ def test_config_tails_value_must_be_known():
 def test_config_tails_two_sided_only_where_allowed():
     with pytest.raises(ConfigError, match="field tails: sup_distance is upper-tailed"):
         _cfg(tails={"sup_distance": "two-sided"})
+
+
+def test_config_packing_needs_three_points():
+    with pytest.raises(ConfigError, match="field n"):
+        _cfg(n=2, methods=("packing",))
+    _cfg(n=2, methods=("rayleigh",))
 
 
 def test_signal_maps():
@@ -210,6 +218,13 @@ def test_power_curve_csv_identical_across_threads(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_monte_carlo_critical_values_match_per_method_calibration():
+    crit = _critical_values(10, 6, 0.1, METHODS, calibration="monte-carlo", seed=5,
+                            mc_reps=200)
+    for m in METHODS:
+        assert crit[m] == calibrate_critical_value_mc(10, 6, m, 0.1, 1000, _calibration_seed(5))
+
+
 def test_export_csv_format(tmp_path):
     cfg = _cfg(reps=120)
     curve = run_power_curve(cfg)
@@ -242,6 +257,11 @@ def test_nonlocal_capmixture_no_warning_where_collisions_are_rare():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run_nonlocal_experiment("capmixture", 20, 5000, 0.05, 2, seed=1)
+
+
+def test_nonlocal_needs_three_points():
+    with pytest.raises(ConfigError, match="n >= 3"):
+        run_nonlocal_experiment("capmixture", 2, 8, 0.05, 2, seed=1)
 
 
 def test_nonlocal_alphaspherical_smoke():

@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,46 @@ def test_pairwise_count_and_order():
     assert len(ip) == 6
     assert np.all(np.diff(ip.values) >= 0)
     assert np.all(np.abs(ip.values) <= 1.0)
+
+
+def test_inner_products_cached_on_first_use():
+    rng = np.random.default_rng(2)
+    s = make_unit_point_set(rng.standard_normal((30, 7)), normalize=True)
+    assert "_inner_products" not in vars(s)  # construction computes nothing
+    ip = s.inner_products
+    assert s.inner_products is ip
+    np.testing.assert_array_equal(ip.values, pairwise_inner_products(s).values)
+    assert ip.n == s.n
+    with pytest.raises(ValueError):
+        ip.values[0] = 0.0
+
+
+def test_pairwise_inner_products_stays_uncached():
+    rng = np.random.default_rng(3)
+    s = make_unit_point_set(rng.standard_normal((12, 5)), normalize=True)
+    cached = s.inner_products
+    a, b = pairwise_inner_products(s), pairwise_inner_products(s)
+    assert a is not b and a.values is not b.values
+    assert a is not cached and a.values is not cached.values
+    np.testing.assert_array_equal(a.values, b.values)
+
+
+def test_inner_products_identical_across_threads():
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((200, 40))
+    want = pairwise_inner_products(make_unit_point_set(data, normalize=True)).values
+    for _ in range(5):
+        s = make_unit_point_set(data, normalize=True)
+        start = threading.Barrier(2, timeout=30)
+
+        def read(_):
+            start.wait()
+            return s.inner_products
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            a, b = pool.map(read, range(2))
+        assert a is b is s.inner_products
+        np.testing.assert_array_equal(a.values, want)
 
 
 def test_pairwise_invariant_under_row_permutation():

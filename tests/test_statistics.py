@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from sphuni import points
 from sphuni import (
     BadTailError,
     CalibrationUnavailableError,
@@ -34,6 +35,7 @@ from sphuni import (
     sup_distance_critical_value,
     sup_null_distance,
 )
+from sphuni.statistics import _STAT_FUNCS, METHODS, _null_statistics
 
 
 def _rand_sample(n, p, seed):
@@ -335,6 +337,22 @@ def test_monte_carlo_mode_outcome():
     assert out == again
 
 
+def test_run_test_computes_gram_once_per_sample(monkeypatch):
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return pairwise_inner_products(s)
+
+    monkeypatch.setattr(points, "pairwise_inner_products", spy)
+    s = sample(Fvml(30, 4.0), 25, RngSeed(61))
+    outs = {m: run_test(s, m) for m in _STAT_FUNCS}
+    assert calls == [s]
+    fresh = pairwise_inner_products(s)
+    for m, out in outs.items():
+        assert out.statistic == _STAT_FUNCS[m](s, fresh)
+
+
 def test_outcome_csv_row():
     s = _rand_sample(10, 5, 12)
     out = run_test(s, "bingham")
@@ -360,3 +378,29 @@ def test_calibrate_sup_distance_matches_asymptotic():
     crit = calibrate_critical_value_mc(n, p, "sup_distance", 0.05, 5000, 17)
     asym = math.sqrt(2.0) * 1.36 / math.sqrt(n * (n - 1.0))
     assert abs(crit - asym) / asym <= 0.05
+
+
+def test_null_statistics_one_pass_equals_each_method_alone():
+    null = _null_statistics(10, 6, METHODS, 1000, 13)
+    assert list(null) == list(METHODS)
+    # scoring every method in one pass leaves each method's null law as it is alone
+    for m in METHODS:
+        alone = _null_statistics(10, 6, (m,), 1000, 13)[m]
+        assert null[m].shape == (1000,)
+        np.testing.assert_array_equal(alone, null[m])
+    again = _null_statistics(10, 6, METHODS[::-1], 1000, RngSeed(13))
+    for m in METHODS:
+        np.testing.assert_array_equal(again[m], null[m])
+
+
+def test_null_statistics_rejects_seed_stream():
+    s = _rand_sample(10, 6, 14)
+    with pytest.raises(DomainError, match="mc_seed"):
+        run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=RngSeed(7, 3))
+    with pytest.raises(DomainError, match="mc_seed"):
+        calibrate_critical_value_mc(10, 6, "rayleigh", 0.05, 1000, RngSeed(7, 1))
+    with pytest.raises(DomainError, match="unknown method"):
+        calibrate_critical_value_mc(10, 6, "gini", 0.05, 1000, 7)
+    a = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=RngSeed(7))
+    b = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=7)
+    assert (a.p_value, a.reject) == (b.p_value, b.reject)
