@@ -35,7 +35,6 @@ from .distributions import (
     null_inner_cdf,
     packing_gumbel_cdf,
     packing_gumbel_quantile,
-    regularized_incomplete_beta,
     watson_marginal,
 )
 from .errors import (

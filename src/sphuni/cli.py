@@ -34,7 +34,15 @@ from .harness import (
 )
 from .points import load_points_csv
 from .samplers import AlphaSpherical, CapMixture, RngSeed
-from .statistics import METHODS, TestOutcome, calibrate_critical_value_mc, run_test
+from .statistics import (
+    CALIBRATIONS,
+    METHODS,
+    NULL_LAWS,
+    TAILS,
+    TestOutcome,
+    calibrate_critical_value_mc,
+    run_test,
+)
 
 _USAGE_EXIT = 64
 
@@ -66,8 +74,9 @@ def _build_parser() -> _Parser:
                    help="repeatable; default: the four omnibus tests "
                         "(projection draws a random direction, opt in explicitly)")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tail", choices=["upper", "two-sided"], default="upper")
-    p.add_argument("--calibration", choices=["asymptotic", "monte-carlo"], default="asymptotic")
+    p.add_argument("--tail", choices=TAILS, default="upper",
+                   help="methods that are upper-tailed only run upper-tailed")
+    p.add_argument("--calibration", choices=CALIBRATIONS, default="asymptotic")
     p.add_argument("--mc-reps", type=int, default=2000)
     p.add_argument("--normalize", action="store_true", help="rescale rows to unit norm")
     p.add_argument("--exit-on-reject", action="store_true",
@@ -149,7 +158,7 @@ def _cmd_test(args) -> int:
     rng = RngSeed(seed).generator()
     outcomes: list[TestOutcome] = []
     for meth in methods:
-        tail = args.tail if meth in ("rayleigh", "bingham", "packing") else "upper"
+        tail = args.tail if args.tail in NULL_LAWS[meth].tails else "upper"
         outcomes.append(
             run_test(
                 sample, meth, alpha=args.alpha, tail=tail,

@@ -25,22 +25,6 @@ _CLAMP_SLACK = 1e-12
 # beta / null inner-product CDF
 
 
-def regularized_incomplete_beta(x, a: float, b: float):
-    """Regularized incomplete beta I_x(a, b).
-
-    Thin wrapper over scipy's continued-fraction implementation, which
-    already switches to the complement for x > a/(a+b) and keeps the
-    prefactor in log space, so a = b ~ 5e3 is unproblematic.
-    """
-    if a <= 0 or b <= 0 or a > 1e7 or b > 1e7:
-        raise DomainError(f"need 0 < a, b <= 1e7, got a={a}, b={b}")
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or np.any(x > 1):
-        raise DomainError("x outside [0, 1]")
-    out = special.betainc(a, b, x)
-    return float(out) if out.ndim == 0 else out
-
-
 def null_inner_cdf(t, p: int):
     """CDF of the inner product of two independent uniform points on S^{p-1}.
 
@@ -84,10 +68,15 @@ def kolmogorov_sf(x):
     todo = x > 0
     xs = x[todo]
     acc = np.zeros_like(xs)
+    # each value stops at its own first term below 1e-16, so its result
+    # does not depend on the other values in the batch
+    live = np.arange(len(xs))
     for k in range(1, 200):
-        term = 2.0 * math.pow(-1.0, k + 1) * np.exp(-2.0 * k * k * xs * xs)
-        acc += term
-        if np.all(np.abs(term) < 1e-16):
+        xl = xs[live]
+        term = 2.0 * math.pow(-1.0, k + 1) * np.exp(-2.0 * k * k * xl * xl)
+        acc[live] += term
+        live = live[np.abs(term) >= 1e-16]
+        if not len(live):
             break
     out[todo] = np.clip(acc, 0.0, 1.0)
     out[~todo] = 1.0
@@ -99,20 +88,10 @@ def kolmogorov_cdf(x):
 
 
 def kolmogorov_quantile(alpha: float) -> float:
-    """c with kolmogorov_sf(c) = alpha, by bracketed bisection."""
+    """c with P(sup_t |B_t| > c) = alpha (scipy's inverse Kolmogorov law)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    lo, hi = 1e-8, 10.0
-    # sf is strictly decreasing from 1 to 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kolmogorov_sf(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-13:
-            break
-    return 0.5 * (lo + hi)
+    return float(special.kolmogi(alpha))
 
 
 # ---------------------------------------------------------------------------

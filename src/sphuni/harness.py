@@ -13,24 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import (
-    kolmogorov_cdf,
-    kolmogorov_quantile,
-    normal_quantile,
-    packing_gumbel_quantile,
-)
-from .errors import ConfigError, InRegimeError, ParseError
+from .errors import BadTailError, ConfigError, InRegimeError, ParseError
 from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, sample
 from .statistics import (
     BINGHAM,
+    CALIBRATIONS,
     METHODS,
     PACKING,
-    PROJECTION,
     RAYLEIGH,
     SUP_DISTANCE,
-    _TWO_SIDED_OK,
+    _check_tail,
     _null_statistics,
     _scores,
+    p_values,
     statistic_sup_distance,
     sup_cdf_distance,
 )
@@ -82,13 +77,11 @@ class ExperimentConfig:
         for meth, tail in (self.tails or {}).items():
             if meth not in methods:
                 raise ConfigError(f"field tails: {meth!r} is not one of methods {methods}")
-            if tail not in ("upper", "two-sided"):
-                raise ConfigError(
-                    f"field tails: {meth} tail must be 'upper' or 'two-sided', got {tail!r}"
-                )
-            if tail == "two-sided" and meth not in _TWO_SIDED_OK:
-                raise ConfigError(f"field tails: {meth} is upper-tailed only")
-        if self.calibration not in ("asymptotic", "monte-carlo"):
+            try:
+                _check_tail(meth, tail)
+            except BadTailError as exc:
+                raise ConfigError(f"field tails: {exc}") from None
+        if self.calibration not in CALIBRATIONS:
             raise ConfigError(f"field calibration: got {self.calibration!r}")
         # mapped parameters must be in-regime for every grid point
         if self.model_family in _POWER_FAMILIES:
@@ -199,43 +192,7 @@ def signal_model(family: str, n: int, p: int, tau: float):
 
 
 # ---------------------------------------------------------------------------
-# critical values and decisions
-
-
-def _critical_values(
-    n: int,
-    p: int,
-    alpha: float,
-    methods,
-    tails: dict | None = None,
-    calibration: str = "asymptotic",
-    seed: int = 0,
-    mc_reps: int = 2000,
-) -> dict[str, float]:
-    """Per-method rejection thresholds on the raw-statistic scale."""
-    crit: dict[str, float] = {}
-    tails = tails or {}
-    if calibration == "monte-carlo":
-        null = _null_statistics(n, p, methods, max(1000, mc_reps), _calibration_seed(seed))
-        return {m: float(np.quantile(null[m], 1.0 - alpha, method="higher")) for m in methods}
-    for meth in methods:
-        tail = tails.get(meth, "upper")
-        if meth == SUP_DISTANCE:
-            crit[meth] = math.sqrt(2.0) * kolmogorov_quantile(alpha) / math.sqrt(n * (n - 1.0))
-        elif meth == PROJECTION:
-            crit[meth] = kolmogorov_quantile(alpha) / math.sqrt(n)
-        elif meth in (RAYLEIGH, BINGHAM):
-            q = 1.0 - alpha / 2.0 if tail == "two-sided" else 1.0 - alpha
-            crit[meth] = float(normal_quantile(q))
-        elif meth == PACKING:
-            crit[meth] = packing_gumbel_quantile(alpha)
-    return crit
-
-
-def _reject(meth: str, stat: float, crit: float, tail: str) -> bool:
-    if tail == "two-sided" and meth in (RAYLEIGH, BINGHAM, PACKING):
-        return abs(stat) >= crit
-    return stat >= crit
+# seeds and threads
 
 
 def _calibration_seed(master: int) -> int:
@@ -311,10 +268,11 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
             f"got {cfg.model_family!r}"
         )
     t0 = time.monotonic()
-    crit = _critical_values(
-        cfg.n, cfg.p, cfg.alpha, cfg.methods, cfg.tails, cfg.calibration,
-        cfg.seed, cfg.reps,
-    )
+    null = {}
+    if cfg.calibration == "monte-carlo":
+        null = _null_statistics(
+            cfg.n, cfg.p, cfg.methods, max(1000, cfg.reps), _calibration_seed(cfg.seed)
+        )
     cells = []
     for tau_idx, tau in enumerate(cfg.signal_grid):
         model = signal_model(cfg.model_family, cfg.n, cfg.p, tau)
@@ -326,9 +284,9 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
 
         stats = _pmap(one_rep, range(cfg.reps), threads)
         for meth in cfg.methods:
-            tail = cfg.tail_for(meth)
-            hits = sum(_reject(meth, s[meth], crit[meth], tail) for s in stats)
-            rate = hits / cfg.reps
+            pv = p_values(meth, [s[meth] for s in stats], cfg.n, cfg.tail_for(meth),
+                          null.get(meth))
+            rate = int(np.count_nonzero(pv <= cfg.alpha)) / cfg.reps
             se = math.sqrt(rate * (1.0 - rate) / cfg.reps)
             cells.append(PowerCell(cfg.model_family, tau, meth, rate, se, cfg.reps))
     curve = PowerCurve(tuple(cells), cfg.seed, cfg.config_hash(), time.monotonic() - t0)
@@ -361,15 +319,14 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
     master = int(seed)
-    scale = math.sqrt(n * (n - 1) / 2.0)
 
     def one_rep(rep):
         rng = _cell_rng(master, "uniform", 0, rep)
-        smp = sample(Uniform(p), n, rng)
-        return scale * statistic_sup_distance(smp)
+        return statistic_sup_distance(sample(Uniform(p), n, rng))
 
-    vals = np.sort(np.asarray(_pmap(one_rep, range(reps), threads)))
-    return sup_cdf_distance(vals, kolmogorov_cdf(vals))
+    stats = np.sort(np.asarray(_pmap(one_rep, range(reps), threads)))
+    # the limit law's CDF at each statistic is 1 - its asymptotic p-value
+    return sup_cdf_distance(stats, 1.0 - p_values(SUP_DISTANCE, stats, n))
 
 
 @dataclass(frozen=True)
@@ -441,7 +398,6 @@ def run_nonlocal_experiment(
         raise ConfigError(f"unknown nonlocal kind {kind!r}")
     master = int(seed)
     methods = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING)
-    crit = _critical_values(n, p, alpha, methods)
     fam = "capmixture" if kind == "capmixture" else "alphaspherical"
 
     def one_rep(rep):
@@ -450,13 +406,10 @@ def run_nonlocal_experiment(
         return _scores(smp, methods, rng)
 
     stats = _pmap(one_rep, range(reps), threads)
-    rates = {
-        meth: sum(s[meth] >= crit[meth] for s in stats) / reps for meth in methods
-    }
+    pv = {meth: p_values(meth, [s[meth] for s in stats], n) for meth in methods}
+    rates = {meth: int(np.count_nonzero(pv[meth] <= alpha)) / reps for meth in methods}
     r_vals = np.array([s[RAYLEIGH] for s in stats])
     b_vals = np.array([s[BINGHAM] for s in stats])
-    p_vals = np.array([s[PACKING] for s in stats])
-    packing_low = packing_gumbel_quantile(1.0 - alpha)  # lower alpha-quantile
     return NonlocalResult(
         kind=kind,
         n=n,
@@ -469,5 +422,6 @@ def run_nonlocal_experiment(
         mean_abs_rayleigh=float(np.mean(np.abs(r_vals))),
         se_abs_rayleigh=float(np.std(np.abs(r_vals), ddof=1) / math.sqrt(reps)),
         share_bingham_negative=float(np.mean(b_vals < 0)),
-        share_packing_below_alpha_quantile=float(np.mean(p_vals < packing_low)),
+        # below the null's lower alpha-quantile: P(T >= stat) > 1 - alpha
+        share_packing_below_alpha_quantile=float(np.mean(pv[PACKING] > 1.0 - alpha)),
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,8 +25,8 @@ BINGHAM = "bingham"
 PACKING = "packing"
 PROJECTION = "projection"
 METHODS = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING, PROJECTION)
-
-_TWO_SIDED_OK = {RAYLEIGH, BINGHAM, PACKING}
+TAILS = ("upper", "two-sided")
+CALIBRATIONS = ("asymptotic", "monte-carlo")
 
 
 def sup_cdf_distance(values, cdf_values) -> float:
@@ -176,21 +177,51 @@ class TestOutcome:
         return "method,statistic,standardized,p_value,reject,alpha,tail,calibration"
 
 
-def _asymptotic_p(method: str, stat: float, standardized: float, tail: str, n: int) -> float:
-    if method == SUP_DISTANCE:
-        return float(kolmogorov_sf(standardized))
-    if method == PROJECTION:
-        return float(kolmogorov_sf(math.sqrt(n) * stat))
-    if method == RAYLEIGH or method == BINGHAM:
-        if tail == "upper":
-            return float(1.0 - normal_cdf(stat))
-        return float(2.0 * (1.0 - normal_cdf(abs(stat))))
-    if method == PACKING:
-        up = float(1.0 - packing_gumbel_cdf(stat))
-        if tail == "upper":
-            return up
-        return float(2.0 * min(up, 1.0 - up))
-    raise DomainError(f"unknown method {method!r}")
+class NullLaw(NamedTuple):
+    """A method's asymptotic null law and the tails its test may use.
+
+    `upper(stat, n)` is P(T >= stat) under the null, elementwise on an
+    array of statistics from samples of size n.
+    """
+
+    upper: Callable
+    tails: tuple[str, ...]
+
+
+NULL_LAWS = {
+    SUP_DISTANCE: NullLaw(lambda t, n: kolmogorov_sf(math.sqrt(n * (n - 1) / 2.0) * t), ("upper",)),
+    RAYLEIGH: NullLaw(lambda t, n: 1.0 - normal_cdf(t), TAILS),
+    BINGHAM: NullLaw(lambda t, n: 1.0 - normal_cdf(t), TAILS),
+    PACKING: NullLaw(lambda t, n: 1.0 - packing_gumbel_cdf(t), TAILS),
+    PROJECTION: NullLaw(lambda t, n: kolmogorov_sf(math.sqrt(n) * t), ("upper",)),
+}
+
+
+def _check_tail(method: str, tail: str) -> None:
+    if tail not in TAILS:
+        raise BadTailError(f"{method} tail must be 'upper' or 'two-sided', got {tail!r}")
+    if tail not in NULL_LAWS[method].tails:
+        raise BadTailError(f"{method} is upper-tailed only")
+
+
+def p_values(method: str, stats, n: int, tail: str = "upper", null=None):
+    """p-values of `method`'s statistics (a scalar or an array) at sample size n.
+
+    With `null=None` they come from the asymptotic law in `NULL_LAWS`:
+    P(T >= t), or 2 min(P(T >= t), P(T < t)) for two-sided tails.  Given
+    R null statistics they are Monte Carlo: (1 + #{null >= t}) / (R + 1),
+    with |.| on both sides for two-sided tails.  Every test, in `run_test`
+    and in the harness, rejects iff its p-value is <= alpha.
+    """
+    t = np.asarray(stats, dtype=float)
+    if null is None:
+        up = NULL_LAWS[method].upper(t, n)
+        out = up if tail == "upper" else 2.0 * np.minimum(up, 1.0 - up)
+    else:
+        ref = np.sort(np.abs(null) if tail == "two-sided" else null)
+        obs = np.abs(t) if tail == "two-sided" else t
+        out = (1 + len(ref) - np.searchsorted(ref, obs, side="left")) / (len(ref) + 1)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def run_test(
@@ -206,19 +237,25 @@ def run_test(
 ) -> TestOutcome:
     """Run one named test at level alpha and package the decision.
 
-    For the sup-distance test the rejection rule is the exact
-    asymptotic one: reject iff T_n >= sqrt(2) c_alpha / sqrt(n(n-1)).
-    `calibration="monte-carlo"` replaces the critical value by the
-    empirical (1-alpha) null quantile from `mc_reps` seeded draws.
+    The test rejects iff its p-value (`p_values`) is <= alpha.  For the
+    sup-distance test the asymptotic rule is reject iff
+    T_n >= sqrt(2) c_alpha / sqrt(n(n-1)).  `calibration="monte-carlo"`
+    instead draws `mc_reps` seeded null samples and takes the p-value
+    (1 + #{null >= T}) / (mc_reps + 1), on |T| for two-sided tails.
+    A bad method, alpha, tail or calibration, or a missing mc_seed, raises
+    before any work, so such a call leaves `rng` untouched.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if tail not in ("upper", "two-sided"):
-        raise BadTailError(f"tail must be 'upper' or 'two-sided', got {tail!r}")
-    if tail == "two-sided" and method not in _TWO_SIDED_OK:
-        raise BadTailError(f"{method} is upper-tailed only")
+    _check_tail(method, tail)
+    if calibration not in CALIBRATIONS:
+        raise DomainError(f"calibration must be 'asymptotic' or 'monte-carlo', got {calibration!r}")
+    if calibration == "monte-carlo" and mc_seed is None:
+        raise CalibrationUnavailableError(
+            "monte-carlo calibration needs mc_seed for reproducible null draws"
+        )
 
     if method == PROJECTION:
         if direction is None:
@@ -233,25 +270,12 @@ def run_test(
             math.sqrt(s.n * (s.n - 1) / 2.0) * stat if method == SUP_DISTANCE else stat
         )
 
-    if calibration == "asymptotic":
-        p_value = _asymptotic_p(method, stat, standardized, tail, s.n)
-        reject = p_value <= alpha
-        return TestOutcome(method, stat, standardized, p_value, bool(reject), alpha, tail, "asymptotic")
-
-    if calibration != "monte-carlo":
-        raise DomainError(f"calibration must be 'asymptotic' or 'monte-carlo', got {calibration!r}")
-    if mc_seed is None:
-        raise CalibrationUnavailableError(
-            "monte-carlo calibration needs mc_seed for reproducible null draws"
-        )
-    null_stats = _null_statistics(s.n, s.p, (method,), mc_reps, mc_seed)[method]
-    obs = abs(stat) if tail == "two-sided" else stat
-    ref = np.abs(null_stats) if tail == "two-sided" else null_stats
-    crit = float(np.quantile(ref, 1.0 - alpha, method="higher"))
-    p_value = float((1 + np.sum(ref >= obs)) / (len(ref) + 1))
-    reject = obs > crit
-    label = f"monte-carlo(reps={mc_reps},seed={mc_seed})"
-    return TestOutcome(method, stat, standardized, p_value, bool(reject), alpha, tail, label)
+    null, label = None, "asymptotic"
+    if calibration == "monte-carlo":
+        null = _null_statistics(s.n, s.p, (method,), mc_reps, mc_seed)[method]
+        label = f"monte-carlo(reps={mc_reps},seed={mc_seed})"
+    p_value = p_values(method, stat, s.n, tail, null)
+    return TestOutcome(method, stat, standardized, p_value, p_value <= alpha, alpha, tail, label)
 
 
 def _null_statistics(n: int, p: int, methods, reps: int, seed) -> dict[str, np.ndarray]:

@@ -16,13 +16,12 @@ from sphuni import (
     null_inner_cdf,
     packing_gumbel_cdf,
     packing_gumbel_quantile,
-    regularized_incomplete_beta,
     watson_marginal,
 )
 
 
 # ---------------------------------------------------------------------------
-# incomplete beta
+# incomplete beta, through null_inner_cdf(t, p) = I_{(1+t)/2}((p-1)/2, (p-1)/2)
 
 
 def gauss_legendre_beta_cdf(x, a, b, panels=64, order=40):
@@ -42,27 +41,28 @@ def gauss_legendre_beta_cdf(x, a, b, panels=64, order=40):
 
 
 def test_beta_symmetric_half():
-    for a in (0.5, 1.0, 7.5, 49.5, 2000.0):
-        assert regularized_incomplete_beta(0.5, a, a) == pytest.approx(0.5, abs=1e-13)
+    for p in (2, 3, 16, 100, 4001):  # a = 0.5, 1, 7.5, 49.5, 2000
+        assert null_inner_cdf(0.0, p) == pytest.approx(0.5, abs=1e-13)
 
 
 def test_beta_uniform_case():
-    assert regularized_incomplete_beta(0.75, 1.0, 1.0) == pytest.approx(0.75, abs=1e-14)
+    # p = 3: a = b = 1, so I_x is x itself; t = 0.5 is x = 0.75
+    assert null_inner_cdf(0.5, 3) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_beta_against_quadrature_oracle():
-    got = regularized_incomplete_beta(0.6, 49.5, 49.5)
+    got = null_inner_cdf(0.2, 100)  # I_0.6(49.5, 49.5)
     want = gauss_legendre_beta_cdf(0.6, 49.5, 49.5)
     assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_beta_endpoints_and_domain():
-    assert regularized_incomplete_beta(0.0, 3.0, 4.0) == 0.0
-    assert regularized_incomplete_beta(1.0, 3.0, 4.0) == 1.0
+    assert null_inner_cdf(-1.0, 7) == 0.0
+    assert null_inner_cdf(1.0, 7) == 1.0
     with pytest.raises(DomainError):
-        regularized_incomplete_beta(1.5, 3.0, 4.0)
+        null_inner_cdf(1.5, 7)
     with pytest.raises(DomainError):
-        regularized_incomplete_beta(0.5, -1.0, 4.0)
+        null_inner_cdf(0.5, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +128,14 @@ def test_kolmogorov_sf_value_at_136():
 
 def test_kolmogorov_sf_one_term_dominance():
     assert kolmogorov_sf(3.0) == pytest.approx(2.0 * math.exp(-18.0), rel=1e-6)
+
+
+def test_kolmogorov_sf_array_equals_scalar():
+    # each value's series stops at its own first term below 1e-16
+    xs = np.concatenate([[0.0, 1e-3, 40.0], np.linspace(0.0, 5.0, 26000)])
+    got = kolmogorov_sf(xs)
+    want = np.array([kolmogorov_sf(float(x)) for x in xs])
+    assert np.array_equal(got, want)
 
 
 def test_kolmogorov_sf_tail_and_convention():

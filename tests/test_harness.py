@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import warnings
@@ -20,10 +21,19 @@ from sphuni import (
     run_null_distribution_check,
     run_power_curve,
     run_size_experiment,
+    run_test,
+    sample,
     signal_model,
 )
-from sphuni.harness import _calibration_seed, _critical_values
-from sphuni.statistics import METHODS, calibrate_critical_value_mc
+from sphuni import harness, statistics
+from sphuni.harness import _calibration_seed, _cell_rng
+from sphuni.statistics import (
+    METHODS,
+    NULL_LAWS,
+    _scores,
+    calibrate_critical_value_mc,
+    p_values,
+)
 
 
 def _cfg(**over):
@@ -219,10 +229,84 @@ def test_power_curve_csv_identical_across_threads(tmp_path):
 
 
 def test_monte_carlo_critical_values_match_per_method_calibration():
-    crit = _critical_values(10, 6, 0.1, METHODS, calibration="monte-carlo", seed=5,
-                            mc_reps=200)
+    # at alpha = 0.1 and R = 1000 null draws no integer lies in
+    # (alpha (R + 1) - 1, alpha (R - 1)], so p <= alpha rejects exactly where
+    # stat >= the "higher" (1 - alpha) null quantile of each method alone
+    cfg = _cfg(n=10, p=6, alpha=0.1, reps=200, model_family="uniform",
+               signal_grid=(0.0,), methods=METHODS, calibration="monte-carlo", seed=5)
+    curve = run_size_experiment(cfg)
+    stats = []
+    for rep in range(cfg.reps):
+        rng = _cell_rng(cfg.seed, "uniform", 0, rep)
+        stats.append(_scores(sample(Uniform(cfg.p), cfg.n, rng), METHODS, rng))
     for m in METHODS:
-        assert crit[m] == calibrate_critical_value_mc(10, 6, m, 0.1, 1000, _calibration_seed(5))
+        crit = calibrate_critical_value_mc(10, 6, m, 0.1, 1000, _calibration_seed(5))
+        assert curve.rate(0.0, m) == sum(s[m] >= crit for s in stats) / cfg.reps
+
+
+@pytest.mark.parametrize("calibration", ["asymptotic", "monte-carlo"])
+@pytest.mark.parametrize("tail", ["upper", "two-sided"])
+def test_power_curve_decisions_equal_run_test(monkeypatch, tail, calibration):
+    # every replication of the harness gets run_test's p-value and decision
+    seen = []
+
+    def spy(meth, stats, n, tail="upper", null=None):
+        out = p_values(meth, stats, n, tail, null)
+        seen.append((meth, tail, out))
+        return out
+
+    monkeypatch.setattr(harness, "p_values", spy)
+    # run_test draws the same null samples as the harness's single pass;
+    # keep them across calls so each method's pass runs once
+    null_pass = functools.lru_cache(maxsize=None)(statistics._null_statistics)
+    monkeypatch.setattr(statistics, "_null_statistics", null_pass)
+    tails = {m: tail for m in METHODS if tail in NULL_LAWS[m].tails}
+    cfg = _cfg(n=12, p=8, reps=100, signal_grid=(0.0, 3.0), methods=METHODS,
+               tails=tails, calibration=calibration, seed=29)
+    curve = run_power_curve(cfg)
+    mc = {}
+    if calibration == "monte-carlo":
+        mc = dict(mc_seed=_calibration_seed(cfg.seed), mc_reps=max(1000, cfg.reps))
+    calls = iter(seen)
+    rejects = 0
+    for ti, tau in enumerate(cfg.signal_grid):
+        model = signal_model(cfg.model_family, cfg.n, cfg.p, tau)
+        outs = []
+        for rep in range(cfg.reps):
+            rng = _cell_rng(cfg.seed, cfg.model_family, ti, rep)
+            smp = sample(model, cfg.n, rng)
+            outs.append({
+                m: run_test(smp, m, alpha=cfg.alpha, tail=cfg.tail_for(m),
+                            calibration=calibration, rng=rng, **mc)
+                for m in cfg.methods
+            })
+        for m in cfg.methods:
+            meth, used_tail, pv = next(calls)
+            assert (meth, used_tail) == (m, cfg.tail_for(m))
+            assert np.array_equal(pv, [o[m].p_value for o in outs])
+            assert [bool(x <= cfg.alpha) for x in pv] == [o[m].reject for o in outs]
+            hits = sum(o[m].reject for o in outs)
+            assert curve.rate(tau, m) == hits / cfg.reps
+            rejects += hits
+    assert next(calls, None) is None
+    assert 0 < rejects < len(cfg.signal_grid) * len(cfg.methods) * cfg.reps
+
+
+def test_two_sided_packing_size():
+    # two-sided packing used to reject when |stat| reached the upper Gumbel
+    # point, 0.62 of these null samples
+    cfg = _cfg(n=80, p=80, reps=2000, model_family="uniform", signal_grid=(0.0,),
+               methods=("packing",), tails={"packing": "two-sided"}, seed=3)
+    assert run_size_experiment(cfg).rate(0.0, "packing") <= 0.07
+
+
+def test_monte_carlo_two_sided_rayleigh_size():
+    # Monte Carlo calibration used to compare |stat| with the raw (1 - alpha)
+    # null quantile, 1.65 instead of about 1.95, and rejected 0.090 here
+    cfg = _cfg(n=20, p=200, reps=4000, model_family="uniform", signal_grid=(0.0,),
+               methods=("rayleigh",), tails={"rayleigh": "two-sided"},
+               calibration="monte-carlo", seed=3)
+    assert run_size_experiment(cfg).rate(0.0, "rayleigh") <= 0.07
 
 
 def test_export_csv_format(tmp_path):

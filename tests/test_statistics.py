@@ -328,6 +328,19 @@ def test_monte_carlo_needs_seed():
         run_test(s, "rayleigh", calibration="monte-carlo")
 
 
+def test_run_test_fails_before_any_work():
+    # a bad calibration, or a missing mc_seed, raises before projection
+    # draws its direction, so the caller's rng is left as it was
+    s = _rand_sample(10, 5, 15)
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(DomainError, match="calibration"):
+        run_test(s, "projection", calibration="bootstrap", rng=rng)
+    with pytest.raises(CalibrationUnavailableError):
+        run_test(s, "projection", calibration="monte-carlo", rng=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_monte_carlo_mode_outcome():
     s = _rand_sample(10, 5, 10)
     out = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=400, mc_seed=11)
