@@ -27,9 +27,9 @@ from .samplers import (
     Fvml,
     LowRank,
     ModelSpec,
-    RngSeed,
     Uniform,
     Watson,
+    _as_rng,
     sample,
 )
 from .statistics import sup_null_distance
@@ -224,7 +224,7 @@ def estimate_distance_mc(model: ModelSpec, pairs: int, seed) -> float:
     |empirical CDF of `pairs` sampled inner products - null CDF|."""
     if pairs < 10**4:
         raise DomainError("need pairs >= 1e4")
-    rng = seed.generator() if isinstance(seed, RngSeed) else RngSeed(int(seed)).generator()
+    rng = _as_rng(seed)
     p = model.p
     vals = np.empty(pairs)
     block = max(1, min(pairs, (1 << 21) // p))
@@ -269,7 +269,7 @@ def simulate_bridge_sup(
         raise DomainError("grid_size must be >= 512")
     if reps < 10**3:
         raise DomainError("reps must be >= 1e3")
-    rng = seed.generator() if isinstance(seed, RngSeed) else RngSeed(int(seed)).generator()
+    rng = _as_rng(seed)
     t = np.arange(1, grid_size + 1) / grid_size
     b = shift.value(t) if shift is not None else np.zeros_like(t)
     sups = np.empty(reps)

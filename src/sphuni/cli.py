@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .asymptotics import (
@@ -62,11 +63,13 @@ def _build_parser() -> _Parser:
     top.add_argument("--version", action="version", version=f"sphuni {__version__}")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def common(p, threads=False, out=False):
         p.add_argument("--seed", type=int, default=None, help="master RNG seed (env SPHUNI_SEED)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for Monte Carlo replications")
-        p.add_argument("--out", default=None, help="optional CSV output path")
+        if threads:
+            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                           help="worker threads for Monte Carlo replications")
+        if out:
+            p.add_argument("--out", default=None, help="optional CSV output path")
 
     p = sub.add_parser("test", help="run uniformity tests on a CSV sample")
     p.add_argument("--data", required=True, help="CSV file, one observation per row")
@@ -81,7 +84,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--normalize", action="store_true", help="rescale rows to unit norm")
     p.add_argument("--exit-on-reject", action="store_true",
                    help="exit with status 2 when any method rejects")
-    common(p)
+    common(p, out=True)
 
     p = sub.add_parser("size", help="null rejection rates")
     p.add_argument("--n", type=int, required=True)
@@ -89,18 +92,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--reps", type=int, default=2000)
     p.add_argument("--method", action="append", choices=METHODS)
-    common(p)
+    common(p, threads=True, out=True)
 
     p = sub.add_parser("power", help="power curve from a JSON experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--svg", default=None, help="write a line-chart SVG here")
-    common(p)
+    common(p, threads=True, out=True)
 
     p = sub.add_parser("nulldist", help="KS distance of the null statistic law to its limit")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--reps", type=int, default=2000)
-    common(p)
+    common(p, threads=True)
 
     p = sub.add_parser("distance", help="distance from uniformity for a model")
     p.add_argument("--model", required=True,
@@ -138,7 +141,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=200)
     p.add_argument("--alpha-index", type=float, default=1.0)
     p.add_argument("--eps", type=float, default=None)
-    common(p)
+    common(p, threads=True, out=True)
 
     return top
 
@@ -199,9 +202,9 @@ def _cmd_size(args) -> int:
 def _cmd_power(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "seed": args.seed})
+        cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
-        cfg = ExperimentConfig(**{**cfg.__dict__, "output_path": args.out})
+        cfg = replace(cfg, output_path=args.out)
     curve = run_power_curve(cfg, threads=args.threads)
     if args.svg:
         _write_power_svg(curve, args.svg)

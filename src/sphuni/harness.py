@@ -8,13 +8,12 @@ import json
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import BadTailError, ConfigError, InRegimeError, ParseError
-from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, sample
+from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson
 from .statistics import (
     BINGHAM,
     CALIBRATIONS,
@@ -24,9 +23,8 @@ from .statistics import (
     SUP_DISTANCE,
     _check_tail,
     _null_statistics,
-    _scores,
+    _replicate,
     p_values,
-    statistic_sup_distance,
     sup_cdf_distance,
 )
 
@@ -94,20 +92,7 @@ class ExperimentConfig:
         return "upper"
 
     def to_json(self) -> str:
-        d = {
-            "n": self.n,
-            "p": self.p,
-            "alpha": self.alpha,
-            "reps": self.reps,
-            "model_family": self.model_family,
-            "signal_grid": list(self.signal_grid),
-            "methods": list(self.methods),
-            "seed": self.seed,
-            "tails": self.tails,
-            "calibration": self.calibration,
-            "output_path": self.output_path,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
@@ -126,7 +111,10 @@ _CONFIG_FIELDS = {
     "calibration": str,
     "output_path": (str, type(None)),
 }
-_REQUIRED_FIELDS = ("n", "p", "alpha", "reps", "model_family", "signal_grid", "methods", "seed")
+_REQUIRED_FIELDS = tuple(
+    f.name for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -192,7 +180,7 @@ def signal_model(family: str, n: int, p: int, tau: float):
 
 
 # ---------------------------------------------------------------------------
-# seeds and threads
+# seeds
 
 
 def _calibration_seed(master: int) -> int:
@@ -203,13 +191,6 @@ def _cell_rng(master: int, family: str, tau_idx: int, rep: int) -> np.random.Gen
     return np.random.default_rng(
         np.random.SeedSequence(master, spawn_key=(_FAMILY_ID[family], tau_idx, rep))
     )
-
-
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -271,21 +252,18 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
     null = {}
     if cfg.calibration == "monte-carlo":
         null = _null_statistics(
-            cfg.n, cfg.p, cfg.methods, max(1000, cfg.reps), _calibration_seed(cfg.seed)
+            cfg.n, cfg.p, cfg.methods, max(1000, cfg.reps), _calibration_seed(cfg.seed),
+            threads,
         )
     cells = []
     for tau_idx, tau in enumerate(cfg.signal_grid):
         model = signal_model(cfg.model_family, cfg.n, cfg.p, tau)
-
-        def one_rep(rep, _model=model, _ti=tau_idx):
-            rng = _cell_rng(cfg.seed, cfg.model_family, _ti, rep)
-            smp = sample(_model, cfg.n, rng)
-            return _scores(smp, cfg.methods, rng)
-
-        stats = _pmap(one_rep, range(cfg.reps), threads)
+        stats = _replicate(
+            model, cfg.n, cfg.methods, cfg.reps,
+            lambda r: _cell_rng(cfg.seed, cfg.model_family, tau_idx, r), threads,
+        )
         for meth in cfg.methods:
-            pv = p_values(meth, [s[meth] for s in stats], cfg.n, cfg.tail_for(meth),
-                          null.get(meth))
+            pv = p_values(meth, stats[meth], cfg.n, cfg.tail_for(meth), null.get(meth))
             rate = int(np.count_nonzero(pv <= cfg.alpha)) / cfg.reps
             se = math.sqrt(rate * (1.0 - rate) / cfg.reps)
             cells.append(PowerCell(cfg.model_family, tau, meth, rate, se, cfg.reps))
@@ -297,19 +275,7 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
 
 def run_size_experiment(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
     """Null rejection rates: the power curve of the uniform model at tau=0."""
-    null_cfg = ExperimentConfig(
-        n=cfg.n,
-        p=cfg.p,
-        alpha=cfg.alpha,
-        reps=cfg.reps,
-        model_family="uniform",
-        signal_grid=(0.0,),
-        methods=cfg.methods,
-        seed=cfg.seed,
-        tails=cfg.tails,
-        calibration=cfg.calibration,
-        output_path=cfg.output_path,
-    )
+    null_cfg = replace(cfg, model_family="uniform", signal_grid=(0.0,))
     return run_power_curve(null_cfg, threads=threads)
 
 
@@ -319,12 +285,9 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
     master = int(seed)
-
-    def one_rep(rep):
-        rng = _cell_rng(master, "uniform", 0, rep)
-        return statistic_sup_distance(sample(Uniform(p), n, rng))
-
-    stats = np.sort(np.asarray(_pmap(one_rep, range(reps), threads)))
+    stats = _replicate(Uniform(p), n, (SUP_DISTANCE,), reps,
+                       lambda r: _cell_rng(master, "uniform", 0, r), threads)
+    stats = np.sort(stats[SUP_DISTANCE])
     # the limit law's CDF at each statistic is 1 - its asymptotic p-value
     return sup_cdf_distance(stats, 1.0 - p_values(SUP_DISTANCE, stats, n))
 
@@ -376,8 +339,12 @@ def run_nonlocal_experiment(
     p = 5000 gives 0.037).  A UserWarning gives the probability when
     n(n-1)/(2(p+1)) exceeds 0.05.  kind "alphaspherical" takes the tail
     index as `model_param` (default 1.0).  The packing statistic needs
-    n >= 3.
+    n >= 3, and the standard error of |Rayleigh| needs reps >= 2.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"field alpha: must be in (0, 1), got {alpha}")
+    if reps < 2:
+        raise ConfigError(f"field reps: need >= 2, got {reps}")
     if n < 3:
         raise ConfigError(f"the packing statistic needs n >= 3, got n={n}")
     if kind == "capmixture":
@@ -398,18 +365,10 @@ def run_nonlocal_experiment(
         raise ConfigError(f"unknown nonlocal kind {kind!r}")
     master = int(seed)
     methods = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING)
-    fam = "capmixture" if kind == "capmixture" else "alphaspherical"
-
-    def one_rep(rep):
-        rng = _cell_rng(master, fam, 0, rep)
-        smp = sample(model, n, rng)
-        return _scores(smp, methods, rng)
-
-    stats = _pmap(one_rep, range(reps), threads)
-    pv = {meth: p_values(meth, [s[meth] for s in stats], n) for meth in methods}
+    stats = _replicate(model, n, methods, reps, lambda r: _cell_rng(master, kind, 0, r), threads)
+    pv = {meth: p_values(meth, stats[meth], n) for meth in methods}
     rates = {meth: int(np.count_nonzero(pv[meth] <= alpha)) / reps for meth in methods}
-    r_vals = np.array([s[RAYLEIGH] for s in stats])
-    b_vals = np.array([s[BINGHAM] for s in stats])
+    r_vals, b_vals = stats[RAYLEIGH], stats[BINGHAM]
     return NonlocalResult(
         kind=kind,
         n=n,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -152,6 +153,30 @@ def _scores(s: UnitPointSet, methods, rng) -> dict[str, float]:
     }
 
 
+def _replicate(
+    model, n: int, methods, reps: int, rng_of, threads: int = 1
+) -> dict[str, np.ndarray]:
+    """Each of `methods` on `reps` samples of n points from `model`.
+
+    Replication r draws its sample, and then projection's direction,
+    from `rng_of(r)`, so the result does not depend on `threads`.
+    """
+    out = {m: np.empty(reps) for m in methods}
+
+    def one(r):
+        rng = rng_of(r)
+        for m, v in _scores(sample(model, n, rng), methods, rng).items():
+            out[m][r] = v
+
+    if threads <= 1:
+        for r in range(reps):
+            one(r)
+    else:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(one, range(reps)))
+    return out
+
+
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of one uniformity test on one sample."""
@@ -207,20 +232,22 @@ def _check_tail(method: str, tail: str) -> None:
 def p_values(method: str, stats, n: int, tail: str = "upper", null=None):
     """p-values of `method`'s statistics (a scalar or an array) at sample size n.
 
-    With `null=None` they come from the asymptotic law in `NULL_LAWS`:
-    P(T >= t), or 2 min(P(T >= t), P(T < t)) for two-sided tails.  Given
-    R null statistics they are Monte Carlo: (1 + #{null >= t}) / (R + 1),
-    with |.| on both sides for two-sided tails.  Every test, in `run_test`
-    and in the harness, rejects iff its p-value is <= alpha.
+    The upper p-value is P(T >= t) under the asymptotic law in
+    `NULL_LAWS` when `null=None`, and (1 + #{null >= t}) / (R + 1) given
+    R null statistics.  Two-sided tails are equal-tailed on both kinds:
+    min(1, 2 min(up, low)), with low = P(T < t) asymptotically and
+    (1 + #{null <= t}) / (R + 1) for Monte Carlo.  Every test, in
+    `run_test` and in the harness, rejects iff its p-value is <= alpha.
     """
     t = np.asarray(stats, dtype=float)
     if null is None:
         up = NULL_LAWS[method].upper(t, n)
-        out = up if tail == "upper" else 2.0 * np.minimum(up, 1.0 - up)
+        low = 1.0 - up
     else:
-        ref = np.sort(np.abs(null) if tail == "two-sided" else null)
-        obs = np.abs(t) if tail == "two-sided" else t
-        out = (1 + len(ref) - np.searchsorted(ref, obs, side="left")) / (len(ref) + 1)
+        ref = np.sort(null)
+        up = (1 + len(ref) - np.searchsorted(ref, t, side="left")) / (len(ref) + 1)
+        low = (1 + np.searchsorted(ref, t, side="right")) / (len(ref) + 1)
+    out = up if tail == "upper" else np.minimum(1.0, 2.0 * np.minimum(up, low))
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -241,8 +268,8 @@ def run_test(
     sup-distance test the asymptotic rule is reject iff
     T_n >= sqrt(2) c_alpha / sqrt(n(n-1)).  `calibration="monte-carlo"`
     instead draws `mc_reps` seeded null samples and takes the p-value
-    (1 + #{null >= T}) / (mc_reps + 1), on |T| for two-sided tails.
-    A bad method, alpha, tail or calibration, or a missing mc_seed, raises
+    (1 + #{null >= T}) / (mc_reps + 1), equal-tailed for two-sided tails.
+    A bad method, alpha, tail, calibration, mc_reps or mc_seed raises
     before any work, so such a call leaves `rng` untouched.
     """
     if method not in METHODS:
@@ -252,10 +279,12 @@ def run_test(
     _check_tail(method, tail)
     if calibration not in CALIBRATIONS:
         raise DomainError(f"calibration must be 'asymptotic' or 'monte-carlo', got {calibration!r}")
-    if calibration == "monte-carlo" and mc_seed is None:
-        raise CalibrationUnavailableError(
-            "monte-carlo calibration needs mc_seed for reproducible null draws"
-        )
+    if calibration == "monte-carlo":
+        if mc_seed is None:
+            raise CalibrationUnavailableError(
+                "monte-carlo calibration needs mc_seed for reproducible null draws"
+            )
+        _mc_master(mc_reps, mc_seed)
 
     if method == PROJECTION:
         if direction is None:
@@ -278,32 +307,34 @@ def run_test(
     return TestOutcome(method, stat, standardized, p_value, p_value <= alpha, alpha, tail, label)
 
 
-def _null_statistics(n: int, p: int, methods, reps: int, seed) -> dict[str, np.ndarray]:
-    """Each of `methods` on `reps` seeded null samples, scored in one pass.
+def _mc_master(reps: int, seed) -> int:
+    """The master seed of a Monte Carlo null pass of `reps` replications.
 
     Replication r draws from `RngSeed(master, r)`, so the seed is an int
     or an `RngSeed` of stream 0; both give the same null samples.
     """
     if reps < 1:
-        raise DomainError("reps must be >= 1")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
-        raise DomainError(f"unknown method {unknown[0]!r}; choose from {METHODS}")
+        raise DomainError(f"mc_reps must be >= 1, got {reps}")
     if isinstance(seed, RngSeed):
         if seed.stream != 0:
             raise DomainError(
                 f"mc_seed: null replication r draws from stream r, so an RngSeed "
                 f"must have stream 0, got {seed}"
             )
-        seed = seed.master
-    master = int(seed)
-    model = Uniform(p)
-    out = {m: np.empty(reps) for m in methods}
-    for r in range(reps):
-        rng = np.random.default_rng(np.random.SeedSequence(master, spawn_key=(r,)))
-        for m, v in _scores(sample(model, n, rng), methods, rng).items():
-            out[m][r] = v
-    return out
+        return seed.master
+    return int(seed)
+
+
+def _null_statistics(
+    n: int, p: int, methods, reps: int, seed, threads: int = 1
+) -> dict[str, np.ndarray]:
+    """Each of `methods` on `reps` seeded null samples, scored in one pass."""
+    master = _mc_master(reps, seed)
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        raise DomainError(f"unknown method {unknown[0]!r}; choose from {METHODS}")
+    return _replicate(Uniform(p), n, methods, reps,
+                      lambda r: RngSeed(master, r).generator(), threads)
 
 
 def calibrate_critical_value_mc(

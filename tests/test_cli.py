@@ -39,8 +39,25 @@ def test_subcommand_help_lists_flags(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for flag in ("--data", "--method", "--alpha", "--tail", "--calibration",
-                 "--normalize", "--exit-on-reject", "--seed", "--threads", "--out"):
+                 "--normalize", "--exit-on-reject", "--seed", "--out"):
         assert flag in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--data", "x.csv", "--threads", "2"],
+    ["distance", "--model", "fvml", "--n", "10", "--p", "10", "--threads", "2"],
+    ["predict", "--shift", "fvml", "--tau", "1", "--threads", "2"],
+    ["calibrate", "--n", "10", "--p", "10", "--method", "rayleigh", "--threads", "2"],
+    ["nulldist", "--n", "10", "--p", "10", "--out", "x.csv"],
+    ["distance", "--model", "fvml", "--n", "10", "--p", "10", "--out", "x.csv"],
+    ["predict", "--shift", "fvml", "--tau", "1", "--out", "x.csv"],
+    ["calibrate", "--n", "10", "--p", "10", "--method", "rayleigh", "--out", "x.csv"],
+])
+def test_flags_a_command_would_ignore_exit_64(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_cmd_test_null_sample(tmp_path, capsys):

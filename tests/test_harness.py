@@ -1,7 +1,9 @@
+import dataclasses
 import functools
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from sphuni import (
     signal_model,
 )
 from sphuni import harness, statistics
-from sphuni.harness import _calibration_seed, _cell_rng
+from sphuni.harness import _CONFIG_FIELDS, NonlocalResult, _calibration_seed, _cell_rng
 from sphuni.statistics import (
     METHODS,
     NULL_LAWS,
@@ -89,6 +91,15 @@ def test_config_wrong_type_names_field(tmp_path):
     path.write_text(json.dumps(cfg))
     with pytest.raises(ParseError, match="'reps'"):
         load_config(path)
+
+
+def test_config_json_fields_are_the_dataclass_fields():
+    assert list(_CONFIG_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+
+
+def test_config_hash_pinned():
+    path = Path(__file__).resolve().parent.parent / "configs" / "fvml_fig1.json"
+    assert load_config(path).config_hash() == "73dc0c13869abff6"
 
 
 def test_config_invariants():
@@ -180,6 +191,11 @@ def test_null_distribution_check_smoke_and_scale():
     assert 0.0 < ks100 < 0.5  # wide-tolerance smoke value
 
 
+@pytest.mark.parametrize("threads", [1, 3])
+def test_null_distribution_check_pinned(threads):
+    assert run_null_distribution_check(20, 10, 200, 3, threads=threads) == 0.06325131966003766
+
+
 def test_null_distribution_improves_with_size():
     ks80 = run_null_distribution_check(80, 80, 2000, seed=7)
     ks200 = run_null_distribution_check(200, 200, 2000, seed=7)
@@ -226,6 +242,28 @@ def test_power_curve_csv_identical_across_threads(tmp_path):
     run_power_curve(cfg1, threads=1)
     run_power_curve(cfg2, threads=3)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_monte_carlo_power_curve_csv_pinned(tmp_path, threads):
+    # all five methods, so projection's direction draw follows each sample
+    path = tmp_path / "mc.csv"
+    cfg = _cfg(n=12, p=8, reps=100, signal_grid=(0.0, 3.0), methods=METHODS,
+               calibration="monte-carlo", seed=29, output_path=str(path))
+    run_power_curve(cfg, threads=threads)
+    assert path.read_text() == (
+        "family,tau,method,rate,se,reps,seed\n"
+        "fvml,0,sup_distance,0.1,0.03,100,29\n"
+        "fvml,0,rayleigh,0.08,0.02712931993,100,29\n"
+        "fvml,0,bingham,0.04,0.01959591794,100,29\n"
+        "fvml,0,packing,0,0,100,29\n"
+        "fvml,0,projection,0.04,0.01959591794,100,29\n"
+        "fvml,3,sup_distance,0.87,0.03363034344,100,29\n"
+        "fvml,3,rayleigh,0.92,0.02712931993,100,29\n"
+        "fvml,3,bingham,0.35,0.04769696007,100,29\n"
+        "fvml,3,packing,0.09,0.02861817604,100,29\n"
+        "fvml,3,projection,0.25,0.04330127019,100,29\n"
+    )
 
 
 def test_monte_carlo_critical_values_match_per_method_calibration():
@@ -348,6 +386,16 @@ def test_nonlocal_needs_three_points():
         run_nonlocal_experiment("capmixture", 2, 8, 0.05, 2, seed=1)
 
 
+def test_nonlocal_rejects_bad_alpha_and_reps():
+    # checked before any work, so the cap-collision warning never fires
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, reps, field in ((1.5, 100, "alpha"), (0.0, 100, "alpha"),
+                                   (0.05, 0, "reps"), (0.05, 1, "reps")):
+            with pytest.raises(ConfigError, match=f"field {field}"):
+                run_nonlocal_experiment("capmixture", 50, 5000, alpha, reps, seed=1)
+
+
 def test_nonlocal_alphaspherical_smoke():
     res = run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 100, seed=3)
     assert set(res.rates) == {"sup_distance", "rayleigh", "bingham", "packing"}
@@ -356,6 +404,21 @@ def test_nonlocal_alphaspherical_smoke():
     assert 0.0 <= res.share_bingham_negative <= 1.0
     again = run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 100, seed=3)
     assert res == again
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_nonlocal_alphaspherical_pinned(threads):
+    res = run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 100, seed=3,
+                                  threads=threads)
+    assert res == NonlocalResult(
+        kind="alphaspherical", n=20, p=400, alpha=0.05, reps=100, seed=3,
+        rates={"sup_distance": 1.0, "rayleigh": 0.02, "bingham": 0.3, "packing": 0.86},
+        mean_rayleigh=-0.22312999378633688,
+        mean_abs_rayleigh=0.7150544122215565,
+        se_abs_rayleigh=0.05770812299149186,
+        share_bingham_negative=0.62,
+        share_packing_below_alpha_quantile=0.01,
+    )
 
 
 def test_nonlocal_alphaspherical_high_dimensional_power():

@@ -35,7 +35,7 @@ from sphuni import (
     sup_distance_critical_value,
     sup_null_distance,
 )
-from sphuni.statistics import _STAT_FUNCS, METHODS, _null_statistics
+from sphuni.statistics import _STAT_FUNCS, METHODS, _null_statistics, p_values
 
 
 def _rand_sample(n, p, seed):
@@ -329,8 +329,8 @@ def test_monte_carlo_needs_seed():
 
 
 def test_run_test_fails_before_any_work():
-    # a bad calibration, or a missing mc_seed, raises before projection
-    # draws its direction, so the caller's rng is left as it was
+    # a bad calibration, mc_reps or mc_seed raises before projection draws
+    # its direction, so the caller's rng is left as it was
     s = _rand_sample(10, 5, 15)
     rng = np.random.default_rng(3)
     before = rng.bit_generator.state
@@ -338,7 +338,30 @@ def test_run_test_fails_before_any_work():
         run_test(s, "projection", calibration="bootstrap", rng=rng)
     with pytest.raises(CalibrationUnavailableError):
         run_test(s, "projection", calibration="monte-carlo", rng=rng)
+    with pytest.raises(DomainError, match="mc_seed"):
+        run_test(s, "projection", calibration="monte-carlo", mc_seed=RngSeed(7, 3), rng=rng)
+    with pytest.raises(DomainError, match="mc_reps"):
+        run_test(s, "projection", calibration="monte-carlo", mc_reps=0, mc_seed=7, rng=rng)
     assert rng.bit_generator.state == before
+
+
+def test_monte_carlo_two_sided_packing_is_equal_tailed():
+    # the packing null has median -2.49, so folding |.| about 0 gave
+    # P(|T| >= 4) = 0.256 where the asymptotic two-sided p-value is 0.053
+    n = 80
+    u = np.random.default_rng(5).random(200_000)
+    gumbel = -2.0 * np.log(-math.sqrt(8.0 * math.pi) * np.log(u))
+    mc = p_values("packing", 4.0, n, "two-sided", gumbel)
+    assert abs(mc - p_values("packing", 4.0, n, "two-sided")) <= 0.005
+
+
+def test_monte_carlo_two_sided_p_value_counts_both_tails():
+    null = np.arange(1.0, 10.0)  # R = 9
+    # 2 at or below, 8 at or above: min(1, 2 min(9, 3) / 10)
+    assert p_values("rayleigh", 2.0, 10, "two-sided", null) == 0.6
+    assert p_values("rayleigh", 5.0, 10, "two-sided", null) == 1.0
+    assert p_values("rayleigh", 0.0, 10, "two-sided", null) == 0.2
+    assert p_values("rayleigh", 0.0, 10, "upper", null) == 1.0
 
 
 def test_monte_carlo_mode_outcome():
