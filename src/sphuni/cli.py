@@ -41,8 +41,8 @@ from .statistics import (
     NULL_LAWS,
     TAILS,
     TestOutcome,
+    _run_tests,
     calibrate_critical_value_mc,
-    run_test,
 )
 
 _USAGE_EXIT = 64
@@ -158,18 +158,12 @@ def _cmd_test(args) -> int:
     sample = load_points_csv(args.data, normalize=args.normalize)
     methods = args.method or list(METHODS[:4])
     seed = _env_seed() if args.seed is None else args.seed
-    rng = RngSeed(seed).generator()
-    outcomes: list[TestOutcome] = []
-    for meth in methods:
-        tail = args.tail if args.tail in NULL_LAWS[meth].tails else "upper"
-        outcomes.append(
-            run_test(
-                sample, meth, alpha=args.alpha, tail=tail,
-                calibration=args.calibration, mc_reps=args.mc_reps,
-                mc_seed=seed if args.calibration == "monte-carlo" else None,
-                rng=rng,
-            )
-        )
+    requests = [(m, args.tail if args.tail in NULL_LAWS[m].tails else "upper") for m in methods]
+    # one Monte Carlo null pass serves every method
+    outcomes = _run_tests(
+        sample, requests, args.alpha, args.calibration, None, args.mc_reps,
+        seed if args.calibration == "monte-carlo" else None, RngSeed(seed).generator(),
+    )
     print(TestOutcome.csv_header(), file=sys.stderr)
     for o in outcomes:
         print(o.csv_row(), file=sys.stderr)

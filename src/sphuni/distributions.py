@@ -42,6 +42,30 @@ def null_inner_cdf(t, p: int):
     return float(out) if out.ndim == 0 else out
 
 
+@lru_cache(maxsize=32)
+def _null_cdf_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (knots, lower, upper) that bracket F = `null_inner_cdf(., p)`.
+
+    The 16,385 sorted knots run from -1 to 1: 1,025 F-quantiles
+    (`betaincinv`) with 15 knots spaced evenly in t between each pair,
+    so a knot cell holds at most 1/1024 of F's mass and usually about
+    1/16384.  For i = searchsorted(knots, v, side="right") and any v in
+    [-1 - 1e-12, 1 + 1e-12], lower[i] <= F(v) <= upper[i] up to
+    betainc's few-ulp non-monotonicity: both are exact F values at
+    knots.  A v on a knot gets its own F as lower[i].
+    """
+    a = (p - 1) / 2.0
+    coarse = 2.0 * special.betaincinv(a, a, np.linspace(0.0, 1.0, 1025)) - 1.0
+    coarse[0], coarse[-1] = -1.0, 1.0
+    step = np.diff(coarse)[:, None] * (np.arange(16) / 16.0)
+    knots = np.sort(np.append((coarse[:-1, None] + step).ravel(), 1.0))
+    cdf = null_inner_cdf(knots, p)
+    table = knots, np.append(cdf[0], cdf), np.append(cdf, cdf[-1])
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def log_coordinate_density_const(p: int) -> float:
     """log of Gamma(p/2) / (sqrt(pi) Gamma((p-1)/2)), the (density-of-
     one-coordinate) normalizing constant in dimension p."""

@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import BadTailError, ConfigError, InRegimeError, ParseError
-from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson
+from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, RngSeed, Uniform, Watson
 from .statistics import (
     BINGHAM,
     CALIBRATIONS,
@@ -183,6 +183,23 @@ def signal_model(family: str, n: int, p: int, tau: float):
 # seeds
 
 
+def _master_seed(seed) -> int:
+    """The int master of an experiment's `seed`: an int, or an `RngSeed`
+    of stream 0, which names the same master.
+
+    Replication r draws from a stream spawned from the master, so an
+    `RngSeed` of any other stream raises ConfigError.
+    """
+    if isinstance(seed, RngSeed):
+        if seed.stream != 0:
+            raise ConfigError(
+                f"field seed: replications draw from streams spawned from the master, "
+                f"so an RngSeed must have stream 0, got {seed}"
+            )
+        return seed.master
+    return int(seed)
+
+
 def _calibration_seed(master: int) -> int:
     return int.from_bytes(hashlib.sha256(f"calib:{master}".encode()).digest()[:6], "big")
 
@@ -284,7 +301,7 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     `reps` null replications and its Brownian-bridge limit."""
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
-    master = int(seed)
+    master = _master_seed(seed)
     stats = _replicate(Uniform(p), n, (SUP_DISTANCE,), reps,
                        lambda r: _cell_rng(master, "uniform", 0, r), threads)
     stats = np.sort(stats[SUP_DISTANCE])
@@ -347,6 +364,7 @@ def run_nonlocal_experiment(
         raise ConfigError(f"field reps: need >= 2, got {reps}")
     if n < 3:
         raise ConfigError(f"the packing statistic needs n >= 3, got n={n}")
+    master = _master_seed(seed)
     if kind == "capmixture":
         if p < 2 * n * n:
             raise ConfigError(f"capmixture needs p >= 2 n^2, got n={n}, p={p}")
@@ -363,7 +381,6 @@ def run_nonlocal_experiment(
         model = AlphaSpherical(p, 1.0 if model_param is None else model_param)
     else:
         raise ConfigError(f"unknown nonlocal kind {kind!r}")
-    master = int(seed)
     methods = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING)
     stats = _replicate(model, n, methods, reps, lambda r: _cell_rng(master, kind, 0, r), threads)
     pv = {meth: p_values(meth, stats[meth], n) for meth in methods}

@@ -10,6 +10,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distributions import (
+    _null_cdf_table,
     kolmogorov_quantile,
     kolmogorov_sf,
     normal_cdf,
@@ -45,51 +46,64 @@ def sup_cdf_distance(values, cdf_values) -> float:
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
 
 
-# (smallest N, block widths): sup_null_distance evaluates F on a grid of
-# the first width, refines the surviving blocks at each further width and
-# evaluates the last survivors value by value; below 1024 values the grid
-# is every value.  Chosen from timings on sorted uniform and FvML pairwise
-# inner products at N from 66 to 500k, with p from 5 to 1000.
-_SUP_BLOCKS = ((1 << 16, (64, 8)), (1 << 12, (32, 8)), (1 << 10, (8,)), (0, ()))
-# betainc is monotone in x only to a few ulps; block bounds get this slack
+# (smallest N, block widths): sup_null_distance bounds the blocks of a
+# grid of the first width and splits the surviving blocks at each further
+# width, down to single values; below 1024 values the grid is every
+# value.  Chosen from timings on sorted uniform, FvML and Watson pairwise
+# inner products at N from 66 to 500k, with p from 12 to 5000.
+_SUP_BLOCKS = ((1 << 16, (64, 8, 1)), (1 << 14, (32, 8, 1)), (1 << 10, (8, 1)), (0, (1,)))
+# betainc is monotone in x only to a few ulps; every bound gets this slack
 _MONOTONE_SLACK = 1e-12
 
 
 def sup_null_distance(values, p: int) -> float:
     """Exactly `sup_cdf_distance(values, null_inner_cdf(values, p))`.
 
-    `values` must be sorted ascending.  F = null_inner_cdf is monotone,
-    so on a block v[a..b] (0-based j) every term (j+1)/N - F_j is at most
-    (b+1)/N - F(v_a) and every F_j - j/N at most F(v_b) - a/N.  F is
-    evaluated at block endpoints only; a block is refined, and at the
-    last level evaluated value by value, only while its bound still
-    reaches the largest term found so far.  The result is the maximum of
-    the same per-value terms as `sup_cdf_distance`, so it is the same float.
+    `values` must be sorted ascending.  The per-p table `_null_cdf_table`
+    brackets F = null_inner_cdf at any value, lo <= F_j <= hi, without
+    betainc.  So the term max((j+1)/N - F_j, F_j - j/N) of value j
+    (0-based) is at least max((j+1)/N - hi, lo - j/N) and at most
+    u(j) = max((j+1)/N - lo, hi - j/N).  As F is monotone, every term of
+    a block v[a..b] is at most (b-a)/N plus the larger of (a+1)/N - lo_a
+    and hi_b - b/N.  A block is split, and at the last level bounded
+    value by value, only while its bound still reaches the largest lower
+    bound found so far.  F is evaluated exactly on the first and last value
+    and on the values whose u still reaches it, and the result is the
+    maximum of their terms: the same per-value terms as
+    `sup_cdf_distance` and so the same float.
     """
     v = np.asarray(values, dtype=float)
     n = len(v)
     if n == 0:
         raise DomainError("need at least one value")
-    widths = next(w for lo, w in _SUP_BLOCKS if n >= lo) + (1,)
+    knots, lower, upper = _null_cdf_table(p)
+    best = -1.0
+
+    def bounds(j):
+        """(j+1)/N - lo and hi - j/N at every index of j; raises `best`
+        to the largest lower bound of a term among them."""
+        nonlocal best
+        i = np.searchsorted(knots, v[j], side="right")
+        lo, hi = lower[i], upper[i]
+        x, y = (j + 1) / n, j / n
+        best = max(best, np.max(x - hi), np.max(lo - y))
+        return x - lo, hi - y
+
+    widths = next(w for lo, w in _SUP_BLOCKS if n >= lo)
     width = widths[0]
-    a = np.arange(0, n - 1 + width, width)
-    a[-1] = n - 1
-    fa = null_inner_cdf(v[a], p)
-    best = max(np.max((a + 1) / n - fa), np.max(fa - a / n))
-    a, b, fa, fb = a[:-1], a[1:], fa[:-1], fa[1:]
+    j = np.arange(0, n - 1 + width, width)
+    j[-1] = n - 1
+    over, under = bounds(j)
     for step in widths[1:]:
-        bound = np.maximum((b + 1) / n - fa, fb - a / n)
-        keep = np.flatnonzero(bound >= best - _MONOTONE_SLACK)
-        a, b, fa, fb = a[keep, None], b[keep, None], fa[keep, None], fb[keep, None]
-        j = np.minimum(a + np.arange(step, width, step), b)
-        fj = null_inner_cdf(v[j], p)
-        best = max(best, np.max((j + 1) / n - fj), np.max(fj - j / n))
-        if step == 1:
-            break
-        a, b = np.hstack([a, j]).ravel(), np.hstack([j, b]).ravel()
-        fa, fb = np.hstack([fa, fj]).ravel(), np.hstack([fj, fb]).ravel()
+        # block k runs from j[..., k] to j[..., k+1], at most `width` apart
+        keep = np.maximum(over[..., :-1], under[..., 1:]) + width / n >= best - _MONOTONE_SLACK
+        j = np.minimum(j[..., :-1][keep][:, None] + np.arange(0, width + 1, step), n - 1)
+        over, under = bounds(j)
         width = step
-    return float(best)
+    # the ends also check that every value lies in [-1, 1]
+    j = np.append(j[np.maximum(over, under) >= best - _MONOTONE_SLACK], (0, n - 1))
+    fj = null_inner_cdf(v[j], p)
+    return float(max(np.max((j + 1) / n - fj), np.max(fj - j / n)))
 
 
 def statistic_sup_distance(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
@@ -272,11 +286,26 @@ def run_test(
     A bad method, alpha, tail, calibration, mc_reps or mc_seed raises
     before any work, so such a call leaves `rng` untouched.
     """
-    if method not in METHODS:
-        raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
+    requests = ((method, tail),)
+    return _run_tests(s, requests, alpha, calibration, direction, mc_reps, mc_seed, rng)[0]
+
+
+def _run_tests(
+    s: UnitPointSet, requests, alpha, calibration, direction, mc_reps, mc_seed, rng
+) -> list[TestOutcome]:
+    """`run_test` for each (method, tail) of `requests`, in order.
+
+    Projection statistics draw their directions from `rng` in request
+    order, and one Monte Carlo null pass scores every method, so each
+    outcome equals its own `run_test` call made in the same order.
+    """
+    for method, _ in requests:
+        if method not in METHODS:
+            raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    _check_tail(method, tail)
+    for method, tail in requests:
+        _check_tail(method, tail)
     if calibration not in CALIBRATIONS:
         raise DomainError(f"calibration must be 'asymptotic' or 'monte-carlo', got {calibration!r}")
     if calibration == "monte-carlo":
@@ -286,25 +315,31 @@ def run_test(
             )
         _mc_master(mc_reps, mc_seed)
 
-    if method == PROJECTION:
-        if direction is None:
-            direction = sample_uniform_direction(
-                s.p, rng if rng is not None else np.random.default_rng()
-            )
-        stat = statistic_projection(s, direction)
-        standardized = stat
-    else:
-        stat = _STAT_FUNCS[method](s)
-        standardized = (
-            math.sqrt(s.n * (s.n - 1) / 2.0) * stat if method == SUP_DISTANCE else stat
-        )
+    stats = []
+    for method, _ in requests:
+        if method == PROJECTION:
+            u = direction
+            if u is None:
+                u = sample_uniform_direction(
+                    s.p, rng if rng is not None else np.random.default_rng()
+                )
+            stats.append(statistic_projection(s, u))
+        else:
+            stats.append(_STAT_FUNCS[method](s))
 
-    null, label = None, "asymptotic"
+    nulls, label = {}, "asymptotic"
     if calibration == "monte-carlo":
-        null = _null_statistics(s.n, s.p, (method,), mc_reps, mc_seed)[method]
+        # a method listed twice is scored once, as its own pass would score it
+        methods = tuple(dict.fromkeys(m for m, _ in requests))
+        nulls = _null_statistics(s.n, s.p, methods, mc_reps, mc_seed)
         label = f"monte-carlo(reps={mc_reps},seed={mc_seed})"
-    p_value = p_values(method, stat, s.n, tail, null)
-    return TestOutcome(method, stat, standardized, p_value, p_value <= alpha, alpha, tail, label)
+    out = []
+    for (method, tail), stat in zip(requests, stats):
+        standardized = math.sqrt(s.n * (s.n - 1) / 2.0) * stat if method == SUP_DISTANCE else stat
+        p_value = p_values(method, stat, s.n, tail, nulls.get(method))
+        out.append(TestOutcome(method, stat, standardized, p_value, p_value <= alpha,
+                               alpha, tail, label))
+    return out
 
 
 def _mc_master(reps: int, seed) -> int:

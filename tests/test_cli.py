@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sphuni import RngSeed, Uniform, sample
+from sphuni import RngSeed, Uniform, load_points_csv, run_test, sample, statistics
 from sphuni.cli import main
 
 
@@ -82,6 +82,32 @@ def test_cmd_test_projection_opt_in(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.err.strip().split("\n")[1].startswith("projection,")
+
+
+def test_cmd_test_monte_carlo_matches_run_test_per_method(tmp_path, capsys):
+    # one null pass for all methods gives each method's own run_test outcome
+    data = _write_sample_csv(tmp_path / "mc.csv", n=25, p=12, seed=4)
+    methods = ["projection", "sup_distance", "rayleigh", "projection", "packing"]
+    out = tmp_path / "mc_rows.csv"
+    argv = ["test", "--data", str(data), "--tail", "two-sided", "--calibration",
+            "monte-carlo", "--mc-reps", "150", "--seed", "9", "--out", str(out)]
+    for m in methods:
+        argv += ["--method", m]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+
+    s = load_points_csv(data)
+    rng = RngSeed(9).generator()
+    want = [run_test(s, m, tail="upper" if m in ("projection", "sup_distance") else "two-sided",
+                     calibration="monte-carlo", mc_reps=150, mc_seed=9, rng=rng)
+            for m in methods]
+    rows = [statistics.TestOutcome.csv_header()] + [o.csv_row() for o in want]
+    assert captured.err == "".join(r + "\n" for r in rows)
+    assert out.read_text() == captured.err
+    assert captured.out == (
+        f"command=test n=25 p=12 alpha=0.05 rejected={int(any(o.reject for o in want))} "
+        f"p_min={min(o.p_value for o in want):.10g}\n"
+    )
 
 
 def test_cmd_test_identical_rows_rejects(tmp_path, capsys):

@@ -15,6 +15,7 @@ from sphuni import (
     InRegimeError,
     LowRank,
     ParseError,
+    RngSeed,
     Uniform,
     Watson,
     export_csv,
@@ -191,9 +192,12 @@ def test_null_distribution_check_smoke_and_scale():
     assert 0.0 < ks100 < 0.5  # wide-tolerance smoke value
 
 
+_NULL_CHECK_PINNED = 0.06325131966003766  # n=20, p=10, reps=200, seed 3
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_null_distribution_check_pinned(threads):
-    assert run_null_distribution_check(20, 10, 200, 3, threads=threads) == 0.06325131966003766
+    assert run_null_distribution_check(20, 10, 200, 3, threads=threads) == _NULL_CHECK_PINNED
 
 
 def test_null_distribution_improves_with_size():
@@ -406,19 +410,39 @@ def test_nonlocal_alphaspherical_smoke():
     assert res == again
 
 
+_NONLOCAL_PINNED = NonlocalResult(
+    kind="alphaspherical", n=20, p=400, alpha=0.05, reps=100, seed=3,
+    rates={"sup_distance": 1.0, "rayleigh": 0.02, "bingham": 0.3, "packing": 0.86},
+    mean_rayleigh=-0.22312999378633688,
+    mean_abs_rayleigh=0.7150544122215565,
+    se_abs_rayleigh=0.05770812299149186,
+    share_bingham_negative=0.62,
+    share_packing_below_alpha_quantile=0.01,
+)
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_nonlocal_alphaspherical_pinned(threads):
     res = run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 100, seed=3,
                                   threads=threads)
-    assert res == NonlocalResult(
-        kind="alphaspherical", n=20, p=400, alpha=0.05, reps=100, seed=3,
-        rates={"sup_distance": 1.0, "rayleigh": 0.02, "bingham": 0.3, "packing": 0.86},
-        mean_rayleigh=-0.22312999378633688,
-        mean_abs_rayleigh=0.7150544122215565,
-        se_abs_rayleigh=0.05770812299149186,
-        share_bingham_negative=0.62,
-        share_packing_below_alpha_quantile=0.01,
-    )
+    assert res == _NONLOCAL_PINNED
+
+
+def test_experiment_seeds_accept_an_rng_seed_of_stream_0():
+    # an RngSeed of stream 0 names the same master as its int
+    assert run_null_distribution_check(20, 10, 200, RngSeed(3)) == _NULL_CHECK_PINNED
+    res = run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 100, seed=RngSeed(3))
+    assert res == _NONLOCAL_PINNED
+
+
+def test_experiment_seed_of_another_stream_raises_before_any_work():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="field seed"):
+            run_null_distribution_check(20, 10, 200, RngSeed(3, 1))
+        # the cap-collision warning would fire if the model were built first
+        with pytest.raises(ConfigError, match="field seed"):
+            run_nonlocal_experiment("capmixture", 50, 5000, 0.05, 2, seed=RngSeed(1, 2))
 
 
 def test_nonlocal_alphaspherical_high_dimensional_power():

@@ -26,6 +26,7 @@ from sphuni import (
     pairwise_inner_products,
     run_test,
     sample,
+    sample_cap_mixture,
     statistic_bingham,
     statistic_packing,
     statistic_projection,
@@ -35,6 +36,7 @@ from sphuni import (
     sup_distance_critical_value,
     sup_null_distance,
 )
+from sphuni.distributions import _null_cdf_table
 from sphuni.statistics import _STAT_FUNCS, METHODS, _null_statistics, p_values
 
 
@@ -139,11 +141,107 @@ def test_sup_null_distance_maximum_at_block_edges(count):
             assert sup_null_distance(v, p) == sup_cdf_distance(v, f)
 
 
+def _full(v, p):
+    return sup_cdf_distance(v, null_inner_cdf(v, p))
+
+
+@pytest.mark.parametrize("p", [3, 40, 600])
+def test_sup_null_distance_values_on_knots(p):
+    # a value on a knot is bracketed by its own exact F
+    knots = _null_cdf_table(p)[0]
+    rng = np.random.default_rng(p)
+    for count in (1, 7, 500, 3000, 70000):
+        v = np.sort(rng.choice(knots, size=count))
+        assert sup_null_distance(v, p) == _full(v, p)
+    # every knot once, and a run of ties on one knot
+    assert sup_null_distance(knots, p) == _full(knots, p)
+    v = knots.copy()
+    v[8000:8300] = v[8000]
+    assert sup_null_distance(v, p) == _full(v, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 40, 5000])
+def test_sup_null_distance_values_at_plus_minus_one(p):
+    rng = np.random.default_rng(p)
+    for count, ends in ((5, 1), (900, 40), (5000, 300), (5000, 2600)):
+        v = 2.0 * special.betaincinv((p - 1) / 2.0, (p - 1) / 2.0, rng.random(count)) - 1.0
+        v[:ends], v[-ends:] = -1.0, 1.0
+        v = np.sort(v)
+        assert sup_null_distance(v, p) == _full(v, p)
+        # within the 1e-12 that null_inner_cdf clamps
+        v[0], v[-1] = -1.0 - 5e-13, 1.0 + 5e-13
+        assert sup_null_distance(v, p) == _full(v, p)
+    for v in (np.array([-1.0]), np.array([1.0]), np.array([-1.0, 1.0])):
+        assert sup_null_distance(v, p) == _full(v, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5000])
+def test_sup_null_distance_small_n_and_extreme_p(p):
+    # N < 1024 is bracketed value by value; p = 3 has a linear F
+    rng = np.random.default_rng(7 * p)
+    for count in (1, 2, 3, 66, 1023, 1024, 5000):
+        v = np.sort(rng.uniform(-1.0, 1.0, count))
+        assert sup_null_distance(v, p) == _full(v, p)
+    models = [Uniform(p)]
+    if p >= 3:
+        models.append(CapMixture(p))
+    if p > 3:  # the tilted samplers need p > 3
+        models.append(Watson(p, 0.2 * p))
+    for i, model in enumerate(models):
+        for n in (2, 12, 45, 120):
+            data = sample(model, n, RngSeed(p, 10 * i + n)).data
+            for rows in (data, np.vstack([data, data[: n // 2 + 1]])):  # repeated rows
+                v = pairwise_inner_products(make_unit_point_set(rows)).values
+                assert sup_null_distance(v, p) == _full(v, p)
+
+
+@pytest.mark.parametrize("p, eps", [(5, 0.3), (40, 0.05), (5000, None)])
+def test_sup_null_distance_cap_mixture_near_one(p, eps):
+    # every cap on one direction: all values sit near 1, in the table's last
+    # cells, and the sup is close to 1
+    eps = 1.0 / (4.0 * p) if eps is None else eps
+    frame = np.zeros((p + 1, p))
+    frame[:, 0] = 1.0
+    for n in (30, 150, 400):
+        rows = sample_cap_mixture(p, eps, RngSeed(n), n, frame=frame)
+        v = pairwise_inner_products(make_unit_point_set(rows)).values
+        got = sup_null_distance(v, p)
+        assert got == _full(v, p)
+        assert got > 0.95
+
+
+def test_null_cdf_table_is_read_only_and_brackets():
+    table = _null_cdf_table(80)
+    for arr in table:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    knots, lower, upper = table
+    assert knots[0] == -1.0 and knots[-1] == 1.0 and np.all(np.diff(knots) >= 0)
+    v = np.concatenate([np.linspace(-1.0, 1.0, 10001), knots[::97]])
+    i = np.searchsorted(knots, v, side="right")
+    f = null_inner_cdf(v, 80)
+    assert np.all(lower[i] <= f + 1e-15) and np.all(f <= upper[i] + 1e-15)
+    on_knot = np.isin(v, knots)
+    assert np.array_equal(lower[i][on_knot], f[on_knot])
+
+
+def test_null_statistics_threads_equal_from_a_cold_table_cache():
+    _null_cdf_table.cache_clear()
+    two = _null_statistics(30, 17, METHODS, 200, 5, threads=2)
+    _null_cdf_table.cache_clear()
+    one = _null_statistics(30, 17, METHODS, 200, 5, threads=1)
+    for m in METHODS:
+        assert np.array_equal(two[m], one[m])
+
+
 def test_sup_null_distance_rejects_what_full_evaluation_rejects():
     with pytest.raises(DomainError):
         sup_null_distance(np.array([]), 5)
     with pytest.raises(DomainError):
         sup_null_distance(np.linspace(-1.0, 1.5, 2000), 5)
+    with pytest.raises(DomainError):
+        sup_null_distance(np.linspace(-1.5, 1.0, 2000), 5)
     with pytest.raises(DomainError):
         sup_null_distance(np.linspace(-1.0, 1.0, 2000), 1)
 
