@@ -32,7 +32,7 @@ from .samplers import (
     _as_rng,
     sample,
 )
-from .statistics import sup_null_distance
+from .statistics import _MONOTONE_SLACK, sup_null_distance
 
 FVML_SHIFT = "fvml"
 QUADRATIC_SHIFT = "quadratic"
@@ -73,6 +73,11 @@ class ShiftFunction:
 
 # ---------------------------------------------------------------------------
 # model CDF of sqrt(p) X.Y and the distance to uniformity
+
+# rows per block of the quadrature grid: 2^22 CDF values over the 96 x 96
+# node grid.  The matvec's row grouping fixes the last ulp of each row, so
+# the distance search evaluates these same blocks
+_GRID_BLOCK = (1 << 22) // (96 * 96)
 
 
 def _pair_nodes(marg, n_nodes: int = 96, panels: int = 4):
@@ -144,16 +149,13 @@ def _tilted_inner_cdf(u: np.ndarray, p: int, kappa: float, power: int) -> np.nda
     uprod, uscale, lut, weight = _pair_grid(p, float(kappa), power)
     rt_p = math.sqrt(p)
     out = np.empty(len(u))
-    # the block height is set by the full grid: the matvec's row grouping
-    # fixes the last ulp of each row
-    block = max(1, (1 << 22) // len(weight))
-    for b0 in range(0, len(u), block):
-        ub = u[b0 : b0 + block, None]
+    for b0 in range(0, len(u), _GRID_BLOCK):
+        ub = u[b0 : b0 + _GRID_BLOCK, None]
         arg = np.clip((ub / rt_p - uprod[None, :]) / uscale[None, :], -1.0, 1.0)
         cdf = null_inner_cdf(arg, p - 1)
         # np.take keeps the gathered block C-ordered; a fancy-indexed
         # cdf[:, lut] is Fortran-ordered and BLAS then rounds differently
-        out[b0 : b0 + block] = np.take(cdf, lut, axis=1) @ weight
+        out[b0 : b0 + _GRID_BLOCK] = np.take(cdf, lut, axis=1) @ weight
     return out
 
 
@@ -180,9 +182,20 @@ def distance_from_uniformity(
 ) -> float:
     """sup_u |P_model(sqrt(p) X.Y <= u) - P_uniform(sqrt(p) X.Y <= u)|.
 
-    Evaluated on `grid_size` initial points over the union of the two
-    effective supports, then refined around the running maximum until
-    the improvement falls below `tol`.
+    The search starts from the maximum of the gap on `grid_size` evenly
+    spaced points over the union of the two effective supports, then
+    refines around it until the improvement falls below `tol`.
+
+    The grid is cut into the quadrature's blocks of `_GRID_BLOCK` rows.
+    Both CDFs increase with u, so on a block from u_s to u_e the gap is
+    at most max(F_m(u_e) - F_n(u_s), F_n(u_e) - F_m(u_s)), bracketed
+    from one evaluation of both CDFs at every block's first and last
+    point.  Blocks are evaluated from the largest bracket down while
+    their bracket, plus `_MONOTONE_SLACK` for rounding, still reaches
+    the largest gap found; a NaN bracket is always evaluated.  Each
+    evaluated block is the same slice of the grid, so the same float,
+    as on a full pass, and the argmax takes the first of equal gaps, so
+    the result is the full grid's.
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
@@ -194,15 +207,30 @@ def distance_from_uniformity(
         )
     p = model.p
 
+    def cdfs(u):
+        fm = np.asarray(model_inner_cdf(model, u))
+        return fm, null_inner_cdf(np.clip(u / math.sqrt(p), -1, 1), p)
+
     def gap(u):
-        return np.abs(
-            np.asarray(model_inner_cdf(model, u))
-            - null_inner_cdf(np.clip(u / math.sqrt(p), -1, 1), p)
-        )
+        fm, fn = cdfs(u)
+        return np.abs(fm - fn)
 
     lo, hi = _u_window(model)
     u = np.linspace(lo, hi, grid_size)
-    g = gap(u)
+    starts = np.arange(0, grid_size, _GRID_BLOCK)
+    ends = np.minimum(starts + _GRID_BLOCK, grid_size) - 1
+    fm, fn = cdfs(u[np.concatenate([starts, ends])])
+    k = len(starts)
+    bound = np.maximum(fm[k:] - fn[:k], fn[k:] - fm[:k])
+    bound[np.isnan(bound)] = np.inf
+    g = np.full(grid_size, -np.inf)
+    best = -np.inf
+    for b in np.argsort(-bound):
+        if bound[b] + _MONOTONE_SLACK < best:
+            break
+        block = slice(starts[b], starts[b] + _GRID_BLOCK)
+        g[block] = gap(u[block])
+        best = np.fmax(best, np.fmax.reduce(g[block]))
     best_i = int(np.argmax(g))
     best, u_star = float(g[best_i]), float(u[best_i])
     h = (hi - lo) / (grid_size - 1)

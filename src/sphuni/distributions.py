@@ -188,16 +188,23 @@ def log_quad(logf, lo: float, hi: float, inner_points=(), cap_nodes: int = 20000
     return shift + math.log(val)
 
 
+def _log_tilted_density(t, kappa: float, power: int, p: int):
+    """kappa t^power + (p-3)/2 log(1-t^2), the unnormalized log-density
+    of the tilted coordinate law.  At p = 3 the second term is dropped:
+    it is 0 on (-1, 1), and 0 x log 0 would be NaN at t = +-1."""
+    t = np.asarray(t, dtype=float)
+    if p == 3:
+        return kappa * t**power
+    with np.errstate(divide="ignore"):  # t = +-1 gives log 0 = -inf, fine
+        return kappa * t**power + 0.5 * (p - 3) * np.log1p(-t * t)
+
+
 def _log_norm_integral(kappa: float, power: int, p: int) -> float:
     """log of integral_{-1}^{1} exp(kappa t^power) (1-t^2)^{(p-3)/2} dt."""
-
-    def logf(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):  # t = +-1 gives log 0 = -inf, fine
-            return kappa * t**power + 0.5 * (p - 3) * np.log1p(-t * t)
-
     modes = _tilt_modes(kappa, power, p)
-    return log_quad(logf, -1.0, 1.0, inner_points=modes)
+    return log_quad(
+        lambda t: _log_tilted_density(t, kappa, power, p), -1.0, 1.0, inner_points=modes
+    )
 
 
 def _tilt_modes(kappa: float, power: int, p: int) -> tuple[float, ...]:
@@ -259,9 +266,7 @@ class CoordinateMarginal:
         return self.log_unnorm(t) - self._log_integral
 
     def log_unnorm(self, t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):  # log 0 at t = +-1 is wanted
-            return self.kappa * t**self.power + 0.5 * (self.p - 3) * np.log1p(-t * t)
+        return _log_tilted_density(t, self.kappa, self.power, self.p)
 
     @property
     def modes(self) -> tuple[float, ...]:

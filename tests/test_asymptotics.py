@@ -184,6 +184,133 @@ def test_distance_pinned_value():
     assert repr(distance_from_uniformity(Fvml(200, 1.0))) == "0.00014121682313905648"
 
 
+def _full_grid_distance(model, grid_size=4096, tol=1e-8):
+    """The distance search with the gap evaluated on every point of the
+    initial grid: the reference the block-pruned search must equal."""
+    p = model.p
+
+    def gap(u):
+        return np.abs(
+            np.asarray(model_inner_cdf(model, u))
+            - null_inner_cdf(np.clip(u / math.sqrt(p), -1, 1), p)
+        )
+
+    lo, hi = asymptotics._u_window(model)
+    u = np.linspace(lo, hi, grid_size)
+    g = gap(u)
+    best_i = int(np.argmax(g))
+    best, u_star = float(g[best_i]), float(u[best_i])
+    h = (hi - lo) / (grid_size - 1)
+    for _ in range(60):
+        uu = np.linspace(u_star - h, u_star + h, 17)
+        gg = gap(uu)
+        j = int(np.argmax(gg))
+        improved = float(gg[j]) - best
+        if gg[j] > best:
+            best, u_star = float(gg[j]), float(uu[j])
+        h /= 4.0
+        if improved < tol and h < 1e-6 * (hi - lo):
+            break
+    return best
+
+
+@pytest.mark.parametrize(
+    "model, grid_size",
+    [
+        (Fvml(3, 1.0), 4096),
+        (Fvml(5, 0.01), 4096),
+        (Fvml(5, 2.0), 4096),
+        (Watson(5, 0.05), 4096),
+        (Watson(5, 3.0), 4096),
+        (Fvml(60, 0.05), 4096),
+        (Fvml(60, 5.0), 4096),
+        (Watson(60, 0.1), 4096),
+        (Watson(60, 4.0), 4096),
+        # p = 200 costs twice as much per row; 1024 rows are 2 full blocks
+        # and a partial one
+        (Fvml(200, 0.1), 1024),
+        (Watson(200, 10.0), 1024),
+        (LowRank(300, 200), 4096),
+        (LowRank(50, 5), 4096),
+        (Uniform(300), 4096),
+    ],
+    ids=repr,
+)
+def test_distance_equals_full_grid_search(model, grid_size):
+    got = distance_from_uniformity(model, grid_size=grid_size)
+    assert got == _full_grid_distance(model, grid_size)
+
+
+@pytest.mark.parametrize("model", [Fvml(5, 0.5), LowRank(40, 30)], ids=repr)
+@pytest.mark.parametrize("grid_size", [64, 455, 456, 911, 4096])
+def test_distance_equals_full_grid_search_at_block_edges(model, grid_size):
+    # one partial block, one exact block, a block plus one row, two
+    # blocks plus one row, and the default grid
+    got = distance_from_uniformity(model, grid_size=grid_size)
+    assert got == _full_grid_distance(model, grid_size)
+
+
+def _grid_blocks(model, grid_size, calls):
+    """(start, rows) of the calls in `calls` that evaluate a contiguous
+    slice of the distance search's initial grid."""
+    u = np.linspace(*asymptotics._u_window(model), grid_size)
+    blocks = []
+    for c in calls:
+        b0 = int(np.searchsorted(u, c[0]))
+        if len(c) <= grid_size - b0 and np.array_equal(u[b0 : b0 + len(c)], c):
+            blocks.append((b0, len(c)))
+    return blocks
+
+
+def _spy_tilted_cdf(monkeypatch, nan_between=None):
+    """Record the u of every `_tilted_inner_cdf` call; optionally return
+    NaN for the u in the closed interval `nan_between`."""
+    real = asymptotics._tilted_inner_cdf
+    calls = []
+
+    def spy(u, p, kappa, power):
+        calls.append(np.array(u))
+        out = real(u, p, kappa, power)
+        if nan_between is not None:
+            out[(u >= nan_between[0]) & (u <= nan_between[1])] = np.nan
+        return out
+
+    monkeypatch.setattr(asymptotics, "_tilted_inner_cdf", spy)
+    return calls
+
+
+def test_distance_evaluates_whole_blocks_near_the_maximum(monkeypatch):
+    model = Fvml(200, 1.0)
+    calls = _spy_tilted_cdf(monkeypatch)
+    assert repr(distance_from_uniformity(model)) == "0.00014121682313905648"
+    block = asymptotics._GRID_BLOCK
+    assert block == 455
+    # the first call brackets the 10 blocks at both ends, in one call
+    assert len(calls[0]) == 20
+    blocks = _grid_blocks(model, 4096, calls)
+    assert blocks and len(blocks) <= 3
+    for b0, rows in blocks:
+        assert b0 % block == 0
+        assert rows == block or b0 + rows == 4096
+    # everything else is the refinement's 17-point windows
+    assert all(len(c) == 17 for c in calls[1 + len(blocks) :])
+
+
+def test_distance_evaluates_a_block_whose_bracket_is_nan(monkeypatch):
+    # block 0 is a tail block that the brackets prune; with its model CDF
+    # NaN it must be evaluated, and the search returns the full grid's NaN
+    model, block = Fvml(5, 0.5), asymptotics._GRID_BLOCK
+    calls = _spy_tilted_cdf(monkeypatch)
+    distance_from_uniformity(model)
+    assert 0 not in [b0 for b0, _ in _grid_blocks(model, 4096, calls)]
+    monkeypatch.undo()
+    u = np.linspace(*asymptotics._u_window(model), 4096)
+    calls = _spy_tilted_cdf(monkeypatch, nan_between=(u[0], u[block - 1]))
+    got = distance_from_uniformity(model)
+    assert (0, block) in _grid_blocks(model, 4096, calls)
+    assert repr(got) == repr(_full_grid_distance(model)) == "nan"
+
+
 @pytest.mark.parametrize("grid_size", [1, 0, -5])
 def test_distance_rejects_small_grid(grid_size):
     with pytest.raises(DomainError, match=f"grid_size must be >= 2, got {grid_size}"):

@@ -244,6 +244,15 @@ def test_fvml_log_normalizer_two_rule_cross_check():
     assert fvml_log_normalizer(kappa, p) == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 5.0])
+def test_fvml_log_normalizer_p3_closed_form(kappa):
+    # at p = 3, mu.X is uniform on [-1, 1] under the null, so
+    # E exp(kappa T) = sinh(kappa) / kappa
+    want = -math.log(math.sinh(kappa) / kappa)
+    assert fvml_log_normalizer(kappa, 3) == pytest.approx(want, abs=1e-12)
+
+
 def test_fvml_log_normalizer_domain():
     with pytest.raises(DomainError):
         fvml_log_normalizer(-1.0, 50)

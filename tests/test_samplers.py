@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from sphuni import (
     AlphaSpherical,
@@ -124,6 +124,21 @@ def test_fvml_kappa_zero_matches_uniform():
     ip_a = np.sum(a[:m] * a[m:], axis=1)
     ip_b = np.sum(b[:m] * b[m:], axis=1)
     assert stats.ks_2samp(ip_a, ip_b).pvalue > 0.01
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fvml_and_watson_sample_at_p3():
+    # at p = 3 the coordinate density is exp(kappa t^power) on [-1, 1]
+    # with no (1 - t^2) factor: FvML's E[mu.X] is coth(kappa) - 1/kappa,
+    # and Watson's E[(mu.X)^2] is a ratio of two 1-D integrals
+    m = 2000
+    t = sample(Fvml(3, 1.0), m, RngSeed(1)).data[:, 0]
+    want = 1.0 / math.tanh(1.0) - 1.0
+    assert abs(t.mean() - want) <= 3.0 * np.std(t, ddof=1) / math.sqrt(m)
+    t2 = sample(Watson(3, 0.6), m, RngSeed(1)).data[:, 0] ** 2
+    num, _ = integrate.quad(lambda s: s * s * math.exp(0.6 * s * s), -1.0, 1.0)
+    den, _ = integrate.quad(lambda s: math.exp(0.6 * s * s), -1.0, 1.0)
+    assert abs(t2.mean() - num / den) <= 3.0 * np.std(t2, ddof=1) / math.sqrt(m)
 
 
 # ---------------------------------------------------------------------------
