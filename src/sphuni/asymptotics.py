@@ -233,6 +233,8 @@ def distance_from_uniformity(
         best = np.fmax(best, np.fmax.reduce(g[block]))
     best_i = int(np.argmax(g))
     best, u_star = float(g[best_i]), float(u[best_i])
+    if math.isnan(best):
+        return best  # no gap compares greater than NaN, so refining cannot change it
     h = (hi - lo) / (grid_size - 1)
     for _ in range(60):
         uu = np.linspace(u_star - h, u_star + h, 17)

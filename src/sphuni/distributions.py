@@ -212,10 +212,10 @@ def _tilt_modes(kappa: float, power: int, p: int) -> tuple[float, ...]:
     if kappa == 0.0:
         return (0.0,)
     if power == 1:
-        # kappa (1-t^2) = (p-3) t
+        # kappa (1-t^2) = (p-3) t; at p = 3 the density exp(kappa t) peaks at the end
         c = p - 3.0
         if c <= 0:
-            return (math.copysign(1.0 - 1e-9, kappa) / 2.0,)
+            return (math.copysign(1.0 - 1e-9, kappa),)
         t = (-c + math.sqrt(c * c + 4.0 * kappa * kappa)) / (2.0 * kappa)
         return (t,)
     # power == 2: t = 0 always critical; +-sqrt(1-(p-3)/(2 kappa)) when 2k > p-3

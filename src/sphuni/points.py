@@ -80,25 +80,30 @@ def make_unit_point_set(raw, normalize: bool = False) -> UnitPointSet:
     n, p = arr.shape
     if n < 2 or p < 2:
         raise BadShapeError(f"need n >= 2 and p >= 2, got shape ({n}, {p})")
-    if not np.all(np.isfinite(arr)):
-        bad = int(np.nonzero(~np.isfinite(arr).all(axis=1))[0][0])
-        raise BadShapeError(f"non-finite value in row {bad}")
+    out = arr / _row_norms(arr, normalize)[:, None]
+    out.setflags(write=False)
+    return UnitPointSet(out)
 
-    norms = np.linalg.norm(arr, axis=1)
+
+def _row_norms(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
+    """The norm of every row of `arr` (last axis, any leading shape),
+    after `make_unit_point_set`'s checks on the rows; a row index in an
+    error counts within its own sample."""
+    if not np.all(np.isfinite(arr)):
+        bad = int(np.argwhere(~np.isfinite(arr).all(axis=-1))[0][-1])
+        raise BadShapeError(f"non-finite value in row {bad}")
+    norms = np.linalg.norm(arr, axis=-1)
     if np.any(norms < _ZERO_TOL):
-        bad = int(np.nonzero(norms < _ZERO_TOL)[0][0])
-        raise ZeroRowError(f"row {bad} has norm {norms[bad]:.3e} < {_ZERO_TOL}")
+        at = tuple(np.argwhere(norms < _ZERO_TOL)[0])
+        raise ZeroRowError(f"row {at[-1]} has norm {norms[at]:.3e} < {_ZERO_TOL}")
     if not normalize:
         dev = np.abs(norms - 1.0)
         if np.any(dev > _NORM_TOL):
-            bad = int(np.nonzero(dev > _NORM_TOL)[0][0])
+            at = tuple(np.argwhere(dev > _NORM_TOL)[0])
             raise NotUnitError(
-                f"row {bad} has norm {norms[bad]:.8f}; pass normalize=True to rescale"
+                f"row {at[-1]} has norm {norms[at]:.8f}; pass normalize=True to rescale"
             )
-
-    out = arr / norms[:, None]
-    out.setflags(write=False)
-    return UnitPointSet(out)
+    return norms
 
 
 @lru_cache(maxsize=4)
@@ -120,6 +125,22 @@ def pairwise_inner_products(s: UnitPointSet) -> InnerProductList:
     vals.sort()
     vals.setflags(write=False)
     return InnerProductList(vals, s.n)
+
+
+def _sorted_pairs(x: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`pairwise_inner_products` of a stack of samples x (b, n, p): row k
+    of `out` (b, n(n-1)/2) gets sample k's values, through the stacked
+    Gram in `gram` (b, n, n).  numpy runs each sample's Gram as its own
+    BLAS call, so every value is the float of a one-sample call.
+    `pairwise_inner_products` keeps its allocating form: through this
+    function (and with `make_unit_point_set` dividing a copy in place),
+    a benchmark request on a 400 x 600 sample ran 5-10 % slower."""
+    b, n, _ = x.shape
+    np.matmul(x, x.transpose(0, 2, 1), out=gram)
+    np.take(gram.reshape(b, n * n), _upper_flat_indices(n), axis=1, out=out, mode="clip")
+    np.clip(out, -1.0, 1.0, out=out)
+    out.sort(axis=1)
+    return out
 
 
 def apply_rotation(s: UnitPointSet, q) -> UnitPointSet:

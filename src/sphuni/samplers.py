@@ -259,8 +259,10 @@ def sample_uniform_direction(p: int, rng) -> np.ndarray:
     return _uniform_rows(1, p, _as_rng(rng))[0]
 
 
-def _uniform_rows(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
-    x = rng.standard_normal((n, p))
+def _uniform_rows(n: int, p: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """n uniform rows on S^{p-1}, drawn into `out` (n, p) when given; the
+    draw is the same stream either way."""
+    x = rng.standard_normal((n, p)) if out is None else rng.standard_normal(out=out)
     norms = np.linalg.norm(x, axis=1)
     while np.any(norms < 1e-12):  # pragma: no cover - probability ~1e-300
         bad = norms < 1e-12
@@ -270,7 +272,7 @@ def _uniform_rows(n: int, p: int, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     """Map rows w on S^{p-2} (as vectors in R^{p-1}) into the tangent
     space mu-perp in R^p via the Householder reflection exchanging e1
     and -/+mu.  O(n p) and exact orthogonality to mu up to rounding."""
@@ -279,7 +281,8 @@ def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     v = mu.copy()
     v[0] += sign  # v = mu + sign*e1; reflection sends e1 -> -sign*mu
     vnorm2 = 2.0 * (1.0 + sign * mu[0])
-    full = np.zeros((w.shape[0], p))
+    full = np.empty((w.shape[0], p)) if out is None else out
+    full[:, 0] = 0.0
     full[:, 1:] = w
     coef = (full @ v) * (2.0 / vnorm2)
     full -= coef[:, None] * v
@@ -297,9 +300,15 @@ def sample_tangent_normal(
         raise DomainError("mu must be unit-norm")
     if marginal.p != p:
         raise DomainError(f"marginal was built for p={marginal.p}, not p={p}")
+    return _tangent_normal_rows(marginal, mu, rng, n)
+
+
+def _tangent_normal_rows(marginal: CoordinateMarginal, mu, rng, n: int, out=None) -> np.ndarray:
+    """`sample_tangent_normal` without its checks, built in `out` (n, p)
+    when given."""
     tbl = _marginal_table(marginal.p, marginal.kappa, marginal.power)
     t = np.asarray(tbl(rng.random(n)))
-    x = _tangent_frame_rows(mu, _uniform_rows(n, p - 1, rng))
+    x = _tangent_frame_rows(mu, _uniform_rows(n, marginal.p - 1, rng), out)
     # sqrt(1 - t^2) * tang + t * mu, built in tang's buffer; addition
     # commutes, so the order of the two terms does not change a bit
     x *= np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[:, None]
@@ -408,16 +417,20 @@ def sample(model: ModelSpec, n: int, seed) -> UnitPointSet:
     """n i.i.d. draws from `model`, wrapped as a UnitPointSet."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    rng = _as_rng(seed)
+    return make_unit_point_set(_draw_rows(model, n, _as_rng(seed)), normalize=True)
+
+
+def _draw_rows(model: ModelSpec, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """`sample`'s n rows from `model`, before `make_unit_point_set`
+    normalises them, drawn from `rng`; written into `out` (n, p) when
+    given, and the same floats either way."""
     if isinstance(model, Uniform):
-        rows = _uniform_rows(n, model.p, rng)
-    elif isinstance(model, Fvml):
+        return _uniform_rows(n, model.p, rng, out)
+    if isinstance(model, (Fvml, Watson)):
         mu = model.mu if model.mu is not None else _e1(model.p)
-        rows = sample_tangent_normal(model.p, fvml_marginal(model.kappa, model.p), mu, rng, n)
-    elif isinstance(model, Watson):
-        mu = model.mu if model.mu is not None else _e1(model.p)
-        rows = sample_tangent_normal(model.p, watson_marginal(model.kappa, model.p), mu, rng, n)
-    elif isinstance(model, LowRank):
+        tilt = fvml_marginal if isinstance(model, Fvml) else watson_marginal
+        return _tangent_normal_rows(tilt(model.kappa, model.p), mu, rng, n, out)
+    if isinstance(model, LowRank):
         rot = _random_orthogonal(model.p, rng) if model.rotate else False
         rows = sample_lowrank(model.p, model.k, rot, rng, n)
     elif isinstance(model, AlphaSpherical):
@@ -426,7 +439,10 @@ def sample(model: ModelSpec, n: int, seed) -> UnitPointSet:
         rows = sample_cap_mixture(model.p, model.eps, rng, n)
     else:
         raise DomainError(f"unknown model spec: {model!r}")
-    return make_unit_point_set(rows, normalize=True)
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
 
 
 def _e1(p: int) -> np.ndarray:

@@ -308,6 +308,8 @@ def test_distance_evaluates_a_block_whose_bracket_is_nan(monkeypatch):
     calls = _spy_tilted_cdf(monkeypatch, nan_between=(u[0], u[block - 1]))
     got = distance_from_uniformity(model)
     assert (0, block) in _grid_blocks(model, 4096, calls)
+    # a NaN gap is returned from the grid pass, with no refinement window
+    assert not any(len(c) == 17 for c in calls)
     assert repr(got) == repr(_full_grid_distance(model)) == "nan"
 
 

@@ -7,6 +7,7 @@ from scipy import special
 from sphuni import (
     DomainError,
     fvml_log_normalizer,
+    fvml_marginal,
     kolmogorov_quantile,
     kolmogorov_sf,
     normal_cdf,
@@ -251,6 +252,12 @@ def test_fvml_log_normalizer_p3_closed_form(kappa):
     # E exp(kappa T) = sinh(kappa) / kappa
     want = -math.log(math.sinh(kappa) / kappa)
     assert fvml_log_normalizer(kappa, 3) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", [0.5, 5.0])
+def test_fvml_mode_at_p3_is_the_end_point(kappa):
+    # at p = 3 the density exp(kappa t) increases on [-1, 1]
+    assert fvml_marginal(kappa, 3).modes == (1.0 - 1e-9,)
 
 
 def test_fvml_log_normalizer_domain():

@@ -33,10 +33,10 @@ from sphuni.harness import _CONFIG_FIELDS, NonlocalResult, _calibration_seed, _c
 from sphuni.statistics import (
     METHODS,
     NULL_LAWS,
-    _scores,
     calibrate_critical_value_mc,
     p_values,
 )
+from test_statistics import _scores
 
 
 def _cfg(**over):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from sphuni import points
+from sphuni import points, statistics
 from sphuni import (
+    AlphaSpherical,
     BadTailError,
     CalibrationUnavailableError,
     CapMixture,
@@ -27,6 +28,7 @@ from sphuni import (
     run_test,
     sample,
     sample_cap_mixture,
+    sample_uniform_direction,
     statistic_bingham,
     statistic_packing,
     statistic_projection,
@@ -37,7 +39,15 @@ from sphuni import (
     sup_null_distance,
 )
 from sphuni.distributions import _null_cdf_table
-from sphuni.statistics import _STAT_FUNCS, METHODS, _null_statistics, p_values
+from sphuni.statistics import (
+    _STAT_FUNCS,
+    METHODS,
+    PROJECTION,
+    _null_statistics,
+    _replicate,
+    _sup_null_rows,
+    p_values,
+)
 
 
 def _rand_sample(n, p, seed):
@@ -233,6 +243,51 @@ def test_null_statistics_threads_equal_from_a_cold_table_cache():
     one = _null_statistics(30, 17, METHODS, 200, 5, threads=1)
     for m in METHODS:
         assert np.array_equal(two[m], one[m])
+
+
+def _row_kernel_rows(count, p, rng):
+    """Sorted rows of `count` values: null draws, which prune to a few
+    exact values; the null quantiles, where every term is about 1/(2N)
+    and thousands stay; pairwise values near 1, and with ties."""
+    a = (p - 1) / 2.0
+    yield np.sort(2.0 * special.betaincinv(a, a, rng.random(count)) - 1.0)
+    yield _null_quantiles(count, p)
+    n = int(math.ceil((1.0 + math.sqrt(1.0 + 8.0 * count)) / 2.0))
+    frame = np.zeros((p + 1, p))
+    frame[:, 0] = 1.0
+    data = sample(Uniform(p), n, RngSeed(count)).data
+    for rows in (
+        sample_cap_mixture(p, 0.05, RngSeed(count, 1), n, frame=frame),  # every value near 1
+        np.vstack([data[: n // 2 + 1], data[: n // 2 + 1]])[:n],  # every row twice
+    ):
+        v = pairwise_inner_products(make_unit_point_set(rows)).values
+        yield np.sort(rng.choice(v, size=count, replace=False))
+
+
+@pytest.mark.parametrize("count", [300, 1024, 20000, 70000])
+def test_sup_null_rows_equals_each_row_alone(count):
+    # every row of one call is the float of full evaluation on that row,
+    # with rows that keep a few exact values next to rows that keep thousands
+    p = 40
+    rng = np.random.default_rng(count)
+    rows = [row for _ in range(2) for row in _row_kernel_rows(count, p, rng)]
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    got = _sup_null_rows(np.array(rows), p)
+    assert got.shape == (len(rows),)
+    for row, value in zip(rows, got):
+        assert value == _full(row, p)
+
+
+def test_sup_null_rows_rejects_a_row_outside_the_range():
+    rows = np.tile(np.linspace(-1.0, 1.0, 2000), (3, 1))
+    rows[1, -1] = 1.5
+    with pytest.raises(DomainError):
+        _sup_null_rows(rows, 5)
+    rows[1, -1], rows[2, 0] = 1.0, -1.5
+    with pytest.raises(DomainError):
+        _sup_null_rows(rows, 5)
+    with pytest.raises(DomainError):
+        _sup_null_rows(np.empty((2, 0)), 5)
 
 
 def test_sup_null_distance_rejects_what_full_evaluation_rejects():
@@ -525,6 +580,56 @@ def test_null_statistics_one_pass_equals_each_method_alone():
     again = _null_statistics(10, 6, METHODS[::-1], 1000, RngSeed(13))
     for m in METHODS:
         np.testing.assert_array_equal(again[m], null[m])
+
+
+def _scores(s, methods, rng) -> dict[str, float]:
+    """Each of `methods` on one sample; projection draws its direction
+    from `rng`, after whatever drew the sample."""
+    return {
+        meth: statistic_projection(s, sample_uniform_direction(s.p, rng))
+        if meth == PROJECTION
+        else _STAT_FUNCS[meth](s)
+        for meth in methods
+    }
+
+
+def _replicate_one_by_one(model, n, methods, reps, rng_of):
+    """The replication engine's reference: replication r scores
+    `sample(model, n, rng_of(r))` by itself."""
+    out = {m: np.empty(reps) for m in methods}
+    for r in range(reps):
+        rng = rng_of(r)
+        for m, v in _scores(sample(model, n, rng), methods, rng).items():
+            out[m][r] = v
+    return out
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize(
+    "model, n",
+    [
+        (Uniform(80), 80),
+        (Fvml(100, 3.0), 64),
+        (Watson(100, 10.0), 64),
+        (LowRank(100, 10, rotate=True), 64),
+        (CapMixture(100), 64),
+        (AlphaSpherical(100, 1.0), 64),
+    ],
+    ids=["uniform", "fvml", "watson", "lowrank", "capmixture", "alphaspherical"],
+)
+def test_replicate_equals_per_sample_loop(model, n, threads):
+    # B replications share a block; reps cover one, a partial and several blocks
+    block = statistics._REP_BLOCK_ELEMS // (n * max(n, model.p))
+    assert block == 10
+    for reps in (1, block - 1, block, block + 1, 2 * block + 3):
+        def rng_of(r):
+            return RngSeed(reps, r).generator()
+
+        got = _replicate(model, n, METHODS, reps, rng_of, threads)
+        want = _replicate_one_by_one(model, n, METHODS, reps, rng_of)
+        assert list(got) == list(METHODS)
+        for m in METHODS:
+            assert np.array_equal(got[m], want[m]), (reps, m)
 
 
 def test_null_statistics_rejects_seed_stream():
