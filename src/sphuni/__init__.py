@@ -82,10 +82,6 @@ from .samplers import (
     Watson,
     build_simplex_frame,
     sample,
-    sample_alpha_spherical,
-    sample_cap_mixture,
-    sample_lowrank,
-    sample_tangent_normal,
     sample_uniform_direction,
 )
 from .statistics import (

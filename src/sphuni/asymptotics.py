@@ -11,27 +11,18 @@ import numpy as np
 from scipy import integrate, special
 
 from .distributions import (
+    _marginal,
     fvml_log_normalizer,
-    fvml_marginal,
     kolmogorov_quantile,
     log_coordinate_density_const,
     normal_pdf,
     normal_quantile,
     null_inner_cdf,
-    watson_marginal,
+    packing_gumbel_cdf,
+    packing_gumbel_quantile,
 )
 from .errors import DomainError
-from .samplers import (
-    AlphaSpherical,
-    CapMixture,
-    Fvml,
-    LowRank,
-    ModelSpec,
-    Uniform,
-    Watson,
-    _as_rng,
-    sample,
-)
+from .samplers import LowRank, ModelSpec, Uniform, _as_rng, _Tilt, sample
 from .statistics import _MONOTONE_SLACK, sup_null_distance
 
 FVML_SHIFT = "fvml"
@@ -74,18 +65,21 @@ class ShiftFunction:
 # ---------------------------------------------------------------------------
 # model CDF of sqrt(p) X.Y and the distance to uniformity
 
-# rows per block of the quadrature grid: 2^22 CDF values over the 96 x 96
-# node grid.  The matvec's row grouping fixes the last ulp of each row, so
-# the distance search evaluates these same blocks
-_GRID_BLOCK = (1 << 22) // (96 * 96)
+# Gauss-Legendre nodes per coordinate of the (T, T') grid, in equal panels
+_PAIR_NODES = 96
+_PAIR_PANELS = 4
+# rows per block of the quadrature grid: 2^22 CDF values over the node
+# grid.  The matvec's row grouping fixes the last ulp of each row, so the
+# distance search evaluates these same blocks
+_GRID_BLOCK = (1 << 22) // (_PAIR_NODES * _PAIR_NODES)
 
 
-def _pair_nodes(marg, n_nodes: int = 96, panels: int = 4):
+def _pair_nodes(marg):
     """Gauss-Legendre nodes and normalized probability weights for the
     coordinate marginal, panels centered on its support window."""
     lo, hi = marg.window()
-    edges = np.linspace(lo, hi, panels + 1)
-    xg, wg = np.polynomial.legendre.leggauss(n_nodes // panels)
+    edges = np.linspace(lo, hi, _PAIR_PANELS + 1)
+    xg, wg = np.polynomial.legendre.leggauss(_PAIR_NODES // _PAIR_PANELS)
     t = np.concatenate([(b + a) / 2 + (b - a) / 2 * xg for a, b in zip(edges[:-1], edges[1:])])
     w = np.concatenate([(b - a) / 2 * wg for a, b in zip(edges[:-1], edges[1:])])
     lf = marg.log_unnorm(t)
@@ -94,7 +88,7 @@ def _pair_nodes(marg, n_nodes: int = 96, panels: int = 4):
 
 
 @lru_cache(maxsize=32)
-def _pair_grid(p: int, kappa: float, power: int, n_nodes: int = 96):
+def _pair_grid(p: int, kappa: float, power: int):
     """The (T, T') quadrature grid, stored once per unordered node pair.
 
     t_i t_j and alpha_i alpha_j are bitwise symmetric in (i, j), since
@@ -103,8 +97,7 @@ def _pair_grid(p: int, kappa: float, power: int, n_nodes: int = 96):
     column of the full row-major n x n grid to its unordered pair.
     `weight` stays the full outer product of the node weights.
     """
-    marg = fvml_marginal(kappa, p) if power == 1 else watson_marginal(kappa, p)
-    t, wt = _pair_nodes(marg, n_nodes=n_nodes)
+    t, wt = _pair_nodes(_marginal(p, kappa, power))
     alpha = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     i, j = np.triu_indices(len(t))
     uprod = t[i] * t[j]
@@ -131,12 +124,11 @@ def model_inner_cdf(model: ModelSpec, u):
     elif isinstance(model, LowRank):
         v = np.clip(u / math.sqrt(model.p), -1.0, 1.0)
         out = null_inner_cdf(v, model.k)
-    elif isinstance(model, (Fvml, Watson)):
-        power = 1 if isinstance(model, Fvml) else 2
+    elif isinstance(model, _Tilt):
         if model.kappa == 0.0:
             out = null_inner_cdf(np.clip(u / math.sqrt(model.p), -1, 1), model.p)
         else:
-            out = _tilted_inner_cdf(u, model.p, model.kappa, power)
+            out = _tilted_inner_cdf(u, model.p, model.kappa, model.power)
     else:
         raise DomainError(
             f"no quadrature route for {type(model).__name__}; use estimate_distance_mc"
@@ -164,13 +156,8 @@ def _u_window(model: ModelSpec) -> tuple[float, float]:
     p = model.p
     # null: sqrt(p) X.Y is asymptotically N(0,1); 8 sigma covers 1e-12 tails
     lo, hi = -8.5, 8.5
-    if isinstance(model, (Fvml, Watson)) and model.kappa > 0:
-        marg = (
-            fvml_marginal(model.kappa, p)
-            if isinstance(model, Fvml)
-            else watson_marginal(model.kappa, p)
-        )
-        wlo, whi = marg.window()
+    if isinstance(model, _Tilt) and model.kappa > 0:
+        wlo, whi = model.marginal.window()
         m = max(abs(wlo), abs(whi))
         shift = math.sqrt(p) * m * m  # largest |T T'| contribution
         lo, hi = lo - shift, hi + shift
@@ -195,16 +182,13 @@ def distance_from_uniformity(
     the largest gap found; a NaN bracket is always evaluated.  Each
     evaluated block is the same slice of the grid, so the same float,
     as on a full pass, and the argmax takes the first of equal gaps, so
-    the result is the full grid's.
+    the result is the full grid's.  A model without a quadrature route
+    raises `model_inner_cdf`'s DomainError.
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     if not tol > 0:
         raise DomainError(f"tol must be > 0, got {tol}")
-    if isinstance(model, (AlphaSpherical, CapMixture)):
-        raise DomainError(
-            f"{type(model).__name__} has no quadrature route; use estimate_distance_mc"
-        )
     p = model.p
 
     def cdfs(u):
@@ -400,8 +384,6 @@ def competitor_low_rank_power(method: str, n: int, p: int, k: int, alpha: float)
     if method == "packing":
         # (p/k) P_n - (1-k/p)(4 log n - log log n) converges to the same
         # Gumbel family as the null limit of P_n (k = p recovers level alpha)
-        from .distributions import packing_gumbel_cdf, packing_gumbel_quantile
-
         drift = (1.0 - k / p) * (4.0 * math.log(n) - math.log(math.log(n)))
         crit = packing_gumbel_quantile(alpha)
         return float(1.0 - packing_gumbel_cdf((p / k) * crit - drift))

@@ -54,17 +54,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(_USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _env_seed() -> int:
-    return int(os.environ.get("SPHUNI_SEED", "0"))
-
-
 def _build_parser() -> _Parser:
     top = _Parser(prog="sphuni", description=__doc__)
     top.add_argument("--version", action="version", version=f"sphuni {__version__}")
     sub = top.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p, threads=False, out=False):
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed (env SPHUNI_SEED)")
+    def common(p, threads=False, out=False, seed_default="env SPHUNI_SEED, else 0"):
+        p.add_argument("--seed", type=int, default=None,
+                       help=f"master RNG seed (default: {seed_default})")
         if threads:
             p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                            help="worker threads for Monte Carlo replications")
@@ -97,7 +94,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("power", help="power curve from a JSON experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--svg", default=None, help="write a line-chart SVG here")
-    common(p, threads=True, out=True)
+    common(p, threads=True, out=True, seed_default="the config's seed")
 
     p = sub.add_parser("nulldist", help="KS distance of the null statistic law to its limit")
     p.add_argument("--n", type=int, required=True)
@@ -157,12 +154,12 @@ def _fmt(x: float) -> str:
 def _cmd_test(args) -> int:
     sample = load_points_csv(args.data, normalize=args.normalize)
     methods = args.method or list(METHODS[:4])
-    seed = _env_seed() if args.seed is None else args.seed
     requests = [(m, args.tail if args.tail in NULL_LAWS[m].tails else "upper") for m in methods]
     # one Monte Carlo null pass serves every method
+    mc_seed = args.seed if args.calibration == "monte-carlo" else None
     outcomes = _run_tests(
         sample, requests, args.alpha, args.calibration, None, args.mc_reps,
-        seed if args.calibration == "monte-carlo" else None, RngSeed(seed).generator(),
+        mc_seed, RngSeed(args.seed).generator(),
     )
     print(TestOutcome.csv_header(), file=sys.stderr)
     for o in outcomes:
@@ -179,17 +176,16 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_size(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     cfg = ExperimentConfig(
         n=args.n, p=args.p, alpha=args.alpha, reps=args.reps,
         model_family="uniform", signal_grid=(0.0,),
-        methods=tuple(args.method or METHODS[:4]), seed=seed,
+        methods=tuple(args.method or METHODS[:4]), seed=args.seed,
         output_path=args.out,
     )
     curve = run_size_experiment(cfg, threads=args.threads)
     pairs = {f"rate_{c.method}": _fmt(c.rate) for c in curve.cells}
     print(_kv(command="size", n=args.n, p=args.p, alpha=_fmt(args.alpha),
-              reps=args.reps, seed=seed, **pairs))
+              reps=args.reps, seed=args.seed, **pairs))
     return 0
 
 
@@ -210,15 +206,13 @@ def _cmd_power(args) -> int:
 
 
 def _cmd_nulldist(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
-    ks = run_null_distribution_check(args.n, args.p, args.reps, seed, threads=args.threads)
-    print(_kv(command="nulldist", n=args.n, p=args.p, reps=args.reps, seed=seed,
+    ks = run_null_distribution_check(args.n, args.p, args.reps, args.seed, threads=args.threads)
+    print(_kv(command="nulldist", n=args.n, p=args.p, reps=args.reps, seed=args.seed,
               ks_distance=_fmt(ks)))
     return 0
 
 
 def _cmd_distance(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     if args.model in ("fvml", "watson", "lowrank"):
         model = signal_model(args.model, args.n, args.p, args.tau)
     elif args.model == "alphaspherical":
@@ -228,42 +222,39 @@ def _cmd_distance(args) -> int:
     if args.mode == "quadrature":
         d = distance_from_uniformity(model)
     else:
-        d = estimate_distance_mc(model, args.pairs, seed)
+        d = estimate_distance_mc(model, args.pairs, args.seed)
     print(_kv(command="distance", model=args.model, n=args.n, p=args.p,
               tau=_fmt(args.tau), mode=args.mode, d=_fmt(d), nd=_fmt(args.n * d)))
     return 0
 
 
 def _cmd_predict(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     shift = ShiftFunction(args.shift, args.tau) if args.tau > 0 else None
     power = predict_asymptotic_power(shift, args.alpha, reps=args.reps,
-                                     seed=seed, grid_size=args.grid)
+                                     seed=args.seed, grid_size=args.grid)
     print(_kv(command="predict", shift=args.shift, tau=_fmt(args.tau),
-              alpha=_fmt(args.alpha), reps=args.reps, seed=seed, power=_fmt(power)))
+              alpha=_fmt(args.alpha), reps=args.reps, seed=args.seed, power=_fmt(power)))
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     crit = calibrate_critical_value_mc(args.n, args.p, args.method, args.alpha,
-                                       args.reps, seed)
+                                       args.reps, args.seed)
     print(_kv(command="calibrate", n=args.n, p=args.p, method=args.method,
-              alpha=_fmt(args.alpha), reps=args.reps, seed=seed,
+              alpha=_fmt(args.alpha), reps=args.reps, seed=args.seed,
               critical_value=_fmt(crit)))
     return 0
 
 
 def _cmd_nonlocal(args) -> int:
-    seed = _env_seed() if args.seed is None else args.seed
     param = args.eps if args.kind == "capmixture" else args.alpha_index
     res = run_nonlocal_experiment(args.kind, args.n, args.p, args.alpha, args.reps,
-                                  seed, model_param=param, threads=args.threads)
+                                  args.seed, model_param=param, threads=args.threads)
     if args.out:
         export_csv(res, args.out)
     pairs = {f"rate_{m}": _fmt(r) for m, r in res.rates.items()}
     print(_kv(command="nonlocal", kind=args.kind, n=args.n, p=args.p,
-              alpha=_fmt(args.alpha), reps=args.reps, seed=seed,
+              alpha=_fmt(args.alpha), reps=args.reps, seed=args.seed,
               mean_rayleigh=_fmt(res.mean_rayleigh),
               mean_abs_rayleigh=_fmt(res.mean_abs_rayleigh),
               share_bingham_negative=_fmt(res.share_bingham_negative),
@@ -324,6 +315,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.seed is None and args.command != "power":  # power keeps its config's seed
+        args.seed = int(os.environ.get("SPHUNI_SEED", "0"))
     try:
         return _COMMANDS[args.command](args)
     except SphuniError as exc:

@@ -163,7 +163,12 @@ def packing_gumbel_quantile(alpha: float) -> float:
 # log-space adaptive quadrature
 
 
-def log_quad(logf, lo: float, hi: float, inner_points=(), cap_nodes: int = 20000) -> float:
+# subinterval cap of log_quad's adaptive rule: a budget of 20000 nodes at
+# 21 Gauss-Kronrod nodes per subinterval
+_QUAD_LIMIT = 20000 // 21
+
+
+def log_quad(logf, lo: float, hi: float, inner_points=()) -> float:
     """log of the integral of exp(logf) over [lo, hi].
 
     Shifts by the probed maximum of logf and hands the well-scaled
@@ -179,9 +184,8 @@ def log_quad(logf, lo: float, hi: float, inner_points=(), cap_nodes: int = 20000
     def g(t):
         return float(np.exp(logf(t) - shift))
 
-    limit = max(50, cap_nodes // 21)
     val, _ = integrate.quad(
-        g, lo, hi, points=pts or None, limit=limit, epsabs=1e-14, epsrel=1e-13
+        g, lo, hi, points=pts or None, limit=_QUAD_LIMIT, epsabs=1e-14, epsrel=1e-13
     )
     if val <= 0:
         raise DomainError("integral underflowed to zero after shifting")
@@ -244,6 +248,9 @@ def fvml_log_normalizer(kappa: float, p: int) -> float:
 # 1-D coordinate marginals (FvML / Watson tilts of the null coordinate law)
 
 
+_WINDOW_LOGDROP = 46.0  # exp(-46) ~ 1e-20 of the peak density
+
+
 @dataclass(frozen=True)
 class CoordinateMarginal:
     """Normalized law of mu.X on [-1, 1] under an exponential tilt.
@@ -295,12 +302,12 @@ class CoordinateMarginal:
         )
         return val
 
-    def window(self, logdrop: float = 46.0) -> tuple[float, float]:
-        """Interval outside which the density is below exp(-logdrop) x peak."""
+    def window(self) -> tuple[float, float]:
+        """Interval outside which the density is below exp(-_WINDOW_LOGDROP) x peak."""
         grid = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, 20001)
         lf = self.log_unnorm(grid)
         peak = lf.max()
-        keep = np.nonzero(lf >= peak - logdrop)[0]
+        keep = np.nonzero(lf >= peak - _WINDOW_LOGDROP)[0]
         lo = grid[max(keep[0] - 1, 0)]
         hi = grid[min(keep[-1] + 1, len(grid) - 1)]
         return float(lo), float(hi)

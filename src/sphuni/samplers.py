@@ -10,12 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .distributions import CoordinateMarginal, fvml_marginal, watson_marginal
+from .distributions import CoordinateMarginal, _marginal
 from .errors import DomainError
 from .points import UnitPointSet, make_unit_point_set
 
@@ -30,10 +30,6 @@ __all__ = [
     "RngSeed",
     "sample",
     "sample_uniform_direction",
-    "sample_tangent_normal",
-    "sample_lowrank",
-    "sample_alpha_spherical",
-    "sample_cap_mixture",
     "build_simplex_frame",
 ]
 
@@ -51,43 +47,41 @@ class Uniform:
             raise DomainError(f"need p >= 2, got {self.p}")
 
 
-def _check_mu(mu, p):
-    if mu is None:
-        return None
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (p,):
-        raise DomainError(f"mu must have shape ({p},)")
-    if abs(np.linalg.norm(mu) - 1.0) > 1e-8:
-        raise DomainError("mu must be unit-norm within 1e-8")
-    return mu
-
-
 @dataclass(frozen=True, eq=False)
-class Fvml:
+class _Tilt:
+    """Exponential tilt exp(kappa (mu.x)^power) of the uniform law: one
+    spec for FvML (power 1) and Watson (power 2)."""
+
     p: int
     kappa: float
     mu: np.ndarray | None = None
+    power: ClassVar[int]
 
     def __post_init__(self):
         if self.p < 3:
             raise DomainError(f"need p >= 3, got {self.p}")
         if self.kappa < 0:
             raise DomainError("kappa must be >= 0")
-        object.__setattr__(self, "mu", _check_mu(self.mu, self.p))
+        if self.mu is not None:
+            mu = np.asarray(self.mu, dtype=float)
+            if mu.shape != (self.p,):
+                raise DomainError(f"mu must have shape ({self.p},)")
+            if abs(np.linalg.norm(mu) - 1.0) > 1e-8:
+                raise DomainError("mu must be unit-norm within 1e-8")
+            object.__setattr__(self, "mu", mu)
+
+    @property
+    def marginal(self) -> CoordinateMarginal:
+        """The law of mu.X, cached per (p, kappa, power)."""
+        return _marginal(self.p, float(self.kappa), self.power)
 
 
-@dataclass(frozen=True, eq=False)
-class Watson:
-    p: int
-    kappa: float
-    mu: np.ndarray | None = None
+class Fvml(_Tilt):
+    power = 1
 
-    def __post_init__(self):
-        if self.p < 3:
-            raise DomainError(f"need p >= 3, got {self.p}")
-        if self.kappa < 0:
-            raise DomainError("kappa must be >= 0")
-        object.__setattr__(self, "mu", _check_mu(self.mu, self.p))
+
+class Watson(_Tilt):
+    power = 2
 
 
 @dataclass(frozen=True)
@@ -155,15 +149,18 @@ def _as_rng(seed) -> np.random.Generator:
 # inverse-CDF tables for 1-D marginals
 
 
+_TABLE_TOL = 1e-10  # CDF error bound of an inverse-CDF table
+
+
 class InverseCdfTable:
     """Monotone-cubic inverse CDF of a 1-D density on a refined grid.
 
     Built once per marginal and cached; lookup maps Uniform(0,1) draws
-    to samples with CDF error below `tol`.
+    to samples with CDF error below `_TABLE_TOL`.
     """
 
-    def __init__(self, logpdf, lo: float, hi: float, tol: float = 1e-10):
-        knots = self._build_knots(logpdf, lo, hi, tol)
+    def __init__(self, logpdf, lo: float, hi: float):
+        knots = self._build_knots(logpdf, lo, hi, _TABLE_TOL)
         t, cdf = knots
         self._inv = PchipInterpolator(cdf, t, extrapolate=False)
         self.lo, self.hi = lo, hi
@@ -228,7 +225,7 @@ class InverseCdfTable:
 
 @lru_cache(maxsize=64)
 def _marginal_table(p: int, kappa: float, power: int) -> InverseCdfTable:
-    marg = fvml_marginal(kappa, p) if power == 1 else watson_marginal(kappa, p)
+    marg = _marginal(p, kappa, power)
     lo, hi = marg.window()
     return InverseCdfTable(marg.log_unnorm, lo, hi)
 
@@ -289,26 +286,14 @@ def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
     return full
 
 
-def sample_tangent_normal(
-    p: int, marginal: CoordinateMarginal, mu, rng, n: int = 1
-) -> np.ndarray:
-    """Draws X = T mu + sqrt(1-T^2) W with T from `marginal` and W
-    uniform on the sphere orthogonal to mu."""
-    rng = _as_rng(rng)
-    mu = np.asarray(mu, dtype=float)
-    if abs(np.linalg.norm(mu) - 1.0) > 1e-8:
-        raise DomainError("mu must be unit-norm")
-    if marginal.p != p:
-        raise DomainError(f"marginal was built for p={marginal.p}, not p={p}")
-    return _tangent_normal_rows(marginal, mu, rng, n)
-
-
-def _tangent_normal_rows(marginal: CoordinateMarginal, mu, rng, n: int, out=None) -> np.ndarray:
-    """`sample_tangent_normal` without its checks, built in `out` (n, p)
-    when given."""
-    tbl = _marginal_table(marginal.p, marginal.kappa, marginal.power)
-    t = np.asarray(tbl(rng.random(n)))
-    x = _tangent_frame_rows(mu, _uniform_rows(n, marginal.p - 1, rng), out)
+def _tangent_normal_rows(model: _Tilt, n: int, rng, out=None) -> np.ndarray:
+    """n draws X = T mu + sqrt(1-T^2) W from the tilt `model`, with T from
+    its marginal and W uniform on the sphere orthogonal to mu (e1 when
+    mu is None), built in `out` (n, p) when given."""
+    p = model.p
+    mu = _e1(p) if model.mu is None else model.mu
+    t = np.asarray(_marginal_table(p, float(model.kappa), model.power)(rng.random(n)))
+    x = _tangent_frame_rows(mu, _uniform_rows(n, p - 1, rng), out)
     # sqrt(1 - t^2) * tang + t * mu, built in tang's buffer; addition
     # commutes, so the order of the two terms does not change a bit
     x *= np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[:, None]
@@ -317,18 +302,13 @@ def _tangent_normal_rows(marginal: CoordinateMarginal, mu, rng, n: int, out=None
     return x
 
 
-def sample_lowrank(p: int, k: int, rotate, rng, n: int = 1) -> np.ndarray:
+def _lowrank_rows(n: int, p: int, k: int, rotate: bool, rng) -> np.ndarray:
     """Uniform draws on the k-sphere embedded in the first k coordinates,
-    optionally pushed through a fixed random rotation."""
-    if not 2 <= k <= p:
-        raise DomainError(f"need 2 <= k <= p, got k={k}")
-    rng = _as_rng(rng)
+    optionally pushed through one random rotation drawn first."""
+    q = _random_orthogonal(p, rng) if rotate else None
     x = np.zeros((n, p))
     x[:, :k] = _uniform_rows(n, k, rng)
-    if rotate is not None and rotate is not False:
-        q = rotate if isinstance(rotate, np.ndarray) else _random_orthogonal(p, rng)
-        x = x @ q.T
-    return x
+    return x if q is None else x @ q.T
 
 
 def _random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -336,15 +316,12 @@ def _random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))[None, :]
 
 
-def sample_alpha_spherical(p: int, alpha: float, rng, n: int = 1) -> np.ndarray:
+def _alpha_spherical_rows(n: int, p: int, alpha: float, rng) -> np.ndarray:
     """Normalized vectors of i.i.d. symmetric Pareto(alpha) coordinates.
 
     |coordinate| = V^{-1/alpha} with V uniform, so the tail index is
     exactly alpha; signs are independent Rademacher.
     """
-    if not 0.0 < alpha < 2.0:
-        raise DomainError(f"alpha must be in (0, 2), got {alpha}")
-    rng = _as_rng(rng)
     v = rng.random((n, p))
     v = np.maximum(v, 1e-300)
     mag = v ** (-1.0 / alpha)
@@ -383,14 +360,10 @@ def _cached_frame(p: int) -> np.ndarray:
     return frame
 
 
-def sample_cap_mixture(p: int, eps: float, rng, n: int = 1, frame=None) -> np.ndarray:
+def _cap_rows(n: int, p: int, eps: float, rng, frame: np.ndarray) -> np.ndarray:
     """Draws from the equal-weight mixture of uniform caps of angular
-    radius eps centered on the simplex-frame directions."""
-    if not 0.0 < eps < math.pi / 4.0:
-        raise DomainError(f"need 0 < eps < pi/4, got {eps}")
-    rng = _as_rng(rng)
-    if frame is None:
-        frame = _cached_frame(p)
+    radius eps centered on the p + 1 rows of `frame`; a model's draw
+    passes its simplex frame."""
     labels = rng.integers(0, p + 1, size=n)
     tbl = _cap_angle_table(p, float(eps))
     w = np.asarray(tbl(rng.random(n)))
@@ -426,17 +399,14 @@ def _draw_rows(model: ModelSpec, n: int, rng: np.random.Generator, out=None) -> 
     given, and the same floats either way."""
     if isinstance(model, Uniform):
         return _uniform_rows(n, model.p, rng, out)
-    if isinstance(model, (Fvml, Watson)):
-        mu = model.mu if model.mu is not None else _e1(model.p)
-        tilt = fvml_marginal if isinstance(model, Fvml) else watson_marginal
-        return _tangent_normal_rows(tilt(model.kappa, model.p), mu, rng, n, out)
+    if isinstance(model, _Tilt):
+        return _tangent_normal_rows(model, n, rng, out)
     if isinstance(model, LowRank):
-        rot = _random_orthogonal(model.p, rng) if model.rotate else False
-        rows = sample_lowrank(model.p, model.k, rot, rng, n)
+        rows = _lowrank_rows(n, model.p, model.k, model.rotate, rng)
     elif isinstance(model, AlphaSpherical):
-        rows = sample_alpha_spherical(model.p, model.alpha, rng, n)
+        rows = _alpha_spherical_rows(n, model.p, model.alpha, rng)
     elif isinstance(model, CapMixture):
-        rows = sample_cap_mixture(model.p, model.eps, rng, n)
+        rows = _cap_rows(n, model.p, model.eps, rng, _cached_frame(model.p))
     else:
         raise DomainError(f"unknown model spec: {model!r}")
     if out is None:

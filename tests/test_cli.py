@@ -220,6 +220,26 @@ def test_cmd_power_same_seed_identical_files(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cmd_seed_defaults_to_sphuni_seed_except_power(tmp_path, monkeypatch, capsys):
+    argv = ["nulldist", "--n", "20", "--p", "20", "--reps", "100"]
+    assert main(argv + ["--seed", "9"]) == 0
+    flagged = capsys.readouterr().out
+    monkeypatch.setenv("SPHUNI_SEED", "9")
+    assert main(argv) == 0
+    assert capsys.readouterr().out == flagged
+    # power's seed is its config's, which the config hash covers
+    cfg = {
+        "n": 10, "p": 10, "alpha": 0.05, "reps": 100,
+        "model_family": "lowrank", "signal_grid": [4.0],
+        "methods": ["rayleigh"], "seed": 21,
+        "tails": None, "calibration": "asymptotic", "output_path": None,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["power", "--config", str(cfg_path), "--threads", "1"]) == 0
+    assert " seed=21 " in capsys.readouterr().out
+
+
 def test_cmd_nonlocal_smoke(capsys):
     rc = main(["nonlocal", "--kind", "alphaspherical", "--n", "15", "--p", "300",
                "--reps", "100", "--seed", "5"])

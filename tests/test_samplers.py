@@ -15,17 +15,13 @@ from sphuni import (
     Uniform,
     Watson,
     build_simplex_frame,
-    fvml_marginal,
     null_inner_cdf,
     pairwise_inner_products,
     sample,
-    sample_alpha_spherical,
-    sample_cap_mixture,
-    sample_lowrank,
-    sample_tangent_normal,
     sample_uniform_direction,
     watson_marginal,
 )
+from sphuni.samplers import _cap_rows, _draw_rows, _marginal_table
 
 
 def _null_cdf_callable(p):
@@ -150,7 +146,7 @@ def test_watson_projection_moment_matches_quadrature():
     mu = np.zeros(p)
     mu[0] = 1.0
     marg = watson_marginal(kappa, p)
-    xs = sample_tangent_normal(p, marg, mu, RngSeed(23), n=m)
+    xs = _draw_rows(Watson(p, kappa, mu), m, RngSeed(23).generator())
     t2 = (xs @ mu) ** 2
     want = marg.moment(2)
     se = np.std(t2, ddof=1) / math.sqrt(m)
@@ -159,12 +155,10 @@ def test_watson_projection_moment_matches_quadrature():
 
 def test_watson_projection_ks_against_quadrature_marginal():
     # empirical law of mu.X vs the tabulated marginal CDF: KS <= 2/sqrt(M)
-    from sphuni.samplers import _marginal_table
-
     p, kappa, m = 600, 150.0, 100000
     mu = np.zeros(p)
     mu[0] = 1.0
-    xs = sample_tangent_normal(p, watson_marginal(kappa, p), mu, RngSeed(97), n=m)
+    xs = _draw_rows(Watson(p, kappa, mu), m, RngSeed(97).generator())
     proj = np.sort(xs @ mu)
     tbl = _marginal_table(p, kappa, 2)
     cdf_at = np.interp(proj, tbl.knots, tbl.cdf)
@@ -177,7 +171,7 @@ def test_fvml_kappa_zero_projection_follows_null_coordinate_law():
     p, m = 40, 20000
     mu = np.zeros(p)
     mu[3] = 1.0
-    xs = sample_tangent_normal(p, fvml_marginal(0.0, p), mu, RngSeed(29), n=m)
+    xs = _draw_rows(Fvml(p, 0.0, mu), m, RngSeed(29).generator())
     res = stats.kstest(xs @ mu, _null_cdf_callable(p))
     assert res.pvalue > 0.01
 
@@ -186,7 +180,7 @@ def test_tangent_component_rotation_invariant():
     p, m = 30, 40000
     mu = np.zeros(p)
     mu[0] = 1.0
-    xs = sample_tangent_normal(p, fvml_marginal(6.0, p), mu, RngSeed(31), n=m)
+    xs = _draw_rows(Fvml(p, 6.0, mu), m, RngSeed(31).generator())
     # projections onto two fixed orthogonal tangent directions
     a, b = xs[:, 1], xs[:, 2]
     corr = np.corrcoef(a, b)[0, 1]
@@ -198,17 +192,17 @@ def test_tangent_normal_unit_and_mu_checked():
     p = 12
     mu = np.zeros(p)
     mu[0] = 1.0
-    xs = sample_tangent_normal(p, fvml_marginal(3.0, p), mu, RngSeed(37), n=100)
+    xs = _draw_rows(Fvml(p, 3.0, mu), 100, RngSeed(37).generator())
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
     with pytest.raises(DomainError):
-        sample_tangent_normal(p, fvml_marginal(3.0, p), mu * 2, RngSeed(37))
+        Fvml(p, 3.0, mu * 2)
 
 
 def test_negative_mu_first_coordinate_householder_branch():
     p = 9
     mu = np.zeros(p)
     mu[0] = -1.0
-    xs = sample_tangent_normal(p, fvml_marginal(5.0, p), mu, RngSeed(41), n=4000)
+    xs = _draw_rows(Fvml(p, 5.0, mu), 4000, RngSeed(41).generator())
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
     assert (xs @ mu).mean() > 0.2  # concentrates around mu, not -mu
 
@@ -220,7 +214,7 @@ def test_negative_mu_first_coordinate_householder_branch():
 def test_lowrank_full_rank_is_null():
     p, m = 30, 10000
     rng = RngSeed(43).generator()
-    a = sample_lowrank(p, p, False, rng, n=2 * m)
+    a = _draw_rows(LowRank(p, p), 2 * m, rng)
     ip = np.sum(a[:m] * a[m:], axis=1)
     assert stats.kstest(ip, _null_cdf_callable(p)).pvalue > 0.01
 
@@ -228,13 +222,13 @@ def test_lowrank_full_rank_is_null():
 def test_lowrank_pairs_follow_k_dimensional_law():
     p, k, m = 50, 10, 10000
     rng = RngSeed(47).generator()
-    a = sample_lowrank(p, k, False, rng, n=2 * m)
+    a = _draw_rows(LowRank(p, k), 2 * m, rng)
     ip = np.sum(a[:m] * a[m:], axis=1)
     assert stats.kstest(ip, _null_cdf_callable(k)).pvalue > 0.01
 
 
 def test_lowrank_embedding_zeros():
-    xs = sample_lowrank(20, 7, False, RngSeed(53), n=200)
+    xs = _draw_rows(LowRank(20, 7), 200, RngSeed(53).generator())
     assert np.all(xs[:, 7:] == 0.0)
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
 
@@ -254,7 +248,7 @@ def test_lowrank_rotate_preserves_inner_products():
 
 
 def test_alpha_spherical_unit_norm():
-    xs = sample_alpha_spherical(100, 1.0, RngSeed(61), n=500)
+    xs = _draw_rows(AlphaSpherical(100, 1.0), 500, RngSeed(61).generator())
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
 
 
@@ -265,7 +259,7 @@ def test_alpha_spherical_inner_product_stabilizes():
     for p in (500, 2000):
         rng = RngSeed(67).generator()
         m = 2000
-        xs = sample_alpha_spherical(p, 1.0, rng, n=2 * m)
+        xs = _draw_rows(AlphaSpherical(p, 1.0), 2 * m, rng)
         ip = np.abs(p * np.sum(xs[:m] * xs[m:], axis=1))
         meds.append(np.median(ip))
     assert meds[0] / meds[1] < 3.0
@@ -275,7 +269,7 @@ def test_alpha_spherical_inner_product_stabilizes():
 def test_alpha_spherical_sign_symmetric():
     p, m = 300, 4000
     rng = RngSeed(71).generator()
-    xs = sample_alpha_spherical(p, 1.2, rng, n=2 * m)
+    xs = _draw_rows(AlphaSpherical(p, 1.2), 2 * m, rng)
     signs = np.sign(np.sum(xs[:m] * xs[m:], axis=1))
     frac = np.mean(signs > 0)
     assert abs(frac - 0.5) <= 3.0 * 0.5 / math.sqrt(m)
@@ -311,7 +305,7 @@ def test_cap_mixture_geometry():
     p = 50
     eps = 1.0 / (4.0 * p)
     frame = build_simplex_frame(p)
-    xs = sample_cap_mixture(p, eps, RngSeed(73), n=2000, frame=frame)
+    xs = _cap_rows(2000, p, eps, RngSeed(73).generator(), frame)
     # recover labels: caps are far narrower than the frame separation
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
@@ -336,7 +330,7 @@ def test_cap_mixture_moderate_width():
     # wider caps exercise the non-flat part of the rim density
     p, eps = 120, 0.3
     frame = build_simplex_frame(p)
-    xs = sample_cap_mixture(p, eps, RngSeed(83), n=1000, frame=frame)
+    xs = _cap_rows(1000, p, eps, RngSeed(83).generator(), frame)
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
     assert np.all(np.arccos(np.clip(align, -1, 1)) <= eps * (1 + 1e-12))

@@ -27,7 +27,6 @@ from sphuni import (
     pairwise_inner_products,
     run_test,
     sample,
-    sample_cap_mixture,
     sample_uniform_direction,
     statistic_bingham,
     statistic_packing,
@@ -39,6 +38,7 @@ from sphuni import (
     sup_null_distance,
 )
 from sphuni.distributions import _null_cdf_table
+from sphuni.samplers import _cap_rows
 from sphuni.statistics import (
     _STAT_FUNCS,
     METHODS,
@@ -213,7 +213,7 @@ def test_sup_null_distance_cap_mixture_near_one(p, eps):
     frame = np.zeros((p + 1, p))
     frame[:, 0] = 1.0
     for n in (30, 150, 400):
-        rows = sample_cap_mixture(p, eps, RngSeed(n), n, frame=frame)
+        rows = _cap_rows(n, p, eps, RngSeed(n).generator(), frame)
         v = pairwise_inner_products(make_unit_point_set(rows)).values
         got = sup_null_distance(v, p)
         assert got == _full(v, p)
@@ -257,7 +257,7 @@ def _row_kernel_rows(count, p, rng):
     frame[:, 0] = 1.0
     data = sample(Uniform(p), n, RngSeed(count)).data
     for rows in (
-        sample_cap_mixture(p, 0.05, RngSeed(count, 1), n, frame=frame),  # every value near 1
+        _cap_rows(n, p, 0.05, RngSeed(count, 1).generator(), frame),  # every value near 1
         np.vstack([data[: n // 2 + 1], data[: n // 2 + 1]])[:n],  # every row twice
     ):
         v = pairwise_inner_products(make_unit_point_set(rows)).values
