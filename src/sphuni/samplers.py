@@ -60,8 +60,8 @@ class _Tilt:
     def __post_init__(self):
         if self.p < 3:
             raise DomainError(f"need p >= 3, got {self.p}")
-        if self.kappa < 0:
-            raise DomainError("kappa must be >= 0")
+        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+            raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
         if self.mu is not None:
             mu = np.asarray(self.mu, dtype=float)
             if mu.shape != (self.p,):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import OrderedDict
 from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -361,8 +362,11 @@ def run_test(
     T_n >= sqrt(2) c_alpha / sqrt(n(n-1)).  `calibration="monte-carlo"`
     instead draws `mc_reps` seeded null samples and takes the p-value
     (1 + #{null >= T}) / (mc_reps + 1), equal-tailed for two-sided tails.
-    A bad method, alpha, tail, calibration, mc_reps or mc_seed raises
-    before any work, so such a call leaves `rng` untouched.
+    The null law is scored by the first call for its (n, p, mc_reps,
+    master seed, method) and then kept for the process
+    (`_null_statistics`), so a repeated request does no null work.  A bad method, alpha, tail,
+    calibration, mc_reps or mc_seed raises before any work, so such a
+    call leaves `rng` untouched.
     """
     requests = ((method, tail),)
     return _run_tests(s, requests, alpha, calibration, direction, mc_reps, mc_seed, rng)[0]
@@ -374,8 +378,9 @@ def _run_tests(
     """`run_test` for each (method, tail) of `requests`, in order.
 
     Projection statistics draw their directions from `rng` in request
-    order, and one Monte Carlo null pass scores every method, so each
-    outcome equals its own `run_test` call made in the same order.
+    order, and one Monte Carlo null pass scores every method not yet
+    memoised, so each outcome equals its own `run_test` call made in the
+    same order.
     """
     for method, _ in requests:
         if method not in METHODS:
@@ -438,23 +443,93 @@ def _mc_master(reps: int, seed) -> int:
     return int(seed)
 
 
+# The null memo keeps at most this many floats of null statistics, about
+# 32 MB: 4,194 null laws of 1000 replications.
+_NULL_MEMO_ELEMS = 1 << 22
+
+
+class _NullMemo:
+    """A least-recently-used map from (n, p, reps, master, method) to a
+    read-only null law, holding at most `budget` floats in all."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._laws: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._size = 0
+        self._lock = threading.Lock()
+
+    def get(self, keys) -> dict[tuple, np.ndarray]:
+        """The stored laws among `keys`, each marked as just used."""
+        with self._lock:
+            found = {k: self._laws[k] for k in keys if k in self._laws}
+            for k in found:
+                self._laws.move_to_end(k)
+        return found
+
+    def put(self, key: tuple, law: np.ndarray) -> None:
+        """Store `law` under `key` and evict the least recently used laws
+        over the budget; a law larger than the budget is not kept."""
+        law.flags.writeable = False
+        if law.size > self.budget:
+            return
+        with self._lock:
+            if key in self._laws:  # a racing pass stored the same floats
+                return
+            self._laws[key] = law
+            self._size += law.size
+            while self._size > self.budget:
+                self._size -= self._laws.popitem(last=False)[1].size
+
+    def clear(self) -> None:
+        with self._lock:
+            self._laws.clear()
+            self._size = 0
+
+
+_null_memo = _NullMemo(_NULL_MEMO_ELEMS)
+
+
 def _null_statistics(
     n: int, p: int, methods, reps: int, seed, threads: int = 1
 ) -> dict[str, np.ndarray]:
-    """Each of `methods` on `reps` seeded null samples, scored in one pass."""
+    """Each of `methods` on `reps` seeded null samples, as read-only arrays.
+
+    Under the null a method's law is a pure function of (n, p, reps, the
+    master seed of `_mc_master`, method), so each is scored once per
+    process and kept in `_null_memo`, which drops the least recently
+    used law beyond `_NULL_MEMO_ELEMS` floats.  `13` and `RngSeed(13)`
+    share an entry, and `threads` is no part of the key, as
+    `_replicate`'s result does not depend on it.  The methods not yet
+    kept are scored together in one `_replicate` pass, run outside the
+    memo's lock; a method's floats are the same whichever methods share
+    its pass.
+    """
     master = _mc_master(reps, seed)
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown method {unknown[0]!r}; choose from {METHODS}")
-    return _replicate(Uniform(p), n, methods, reps,
-                      lambda r: RngSeed(master, r).generator(), threads)
+    keys = {m: (n, p, reps, master, m) for m in methods}
+    found = _null_memo.get(keys.values())
+    laws = {m: found[k] for m, k in keys.items() if k in found}
+    missing = tuple(m for m in keys if m not in laws)
+    if missing:
+        fresh = _replicate(Uniform(p), n, missing, reps,
+                           lambda r: RngSeed(master, r).generator(), threads)
+        for m, law in fresh.items():
+            _null_memo.put(keys[m], law)
+        laws.update(fresh)
+    return {m: laws[m] for m in keys}
 
 
 def calibrate_critical_value_mc(
     n: int, p: int, method: str, alpha: float, reps: int, seed
 ) -> float:
     """Empirical (1-alpha) quantile of the null statistic over `reps`
-    seeded replications; alpha = 1 returns the smallest observed value."""
+    seeded replications; alpha = 1 returns the smallest observed value.
+
+    The replications are those of `run_test`'s Monte Carlo calibration,
+    memoised by (n, p, reps, master seed, method): only the first call
+    for a key scores them."""
     if reps < 1000:
         raise DomainError("calibration needs reps >= 1000")
     if not 0.0 < alpha <= 1.0:

@@ -98,6 +98,7 @@ def test_cmd_test_monte_carlo_matches_run_test_per_method(tmp_path, capsys):
 
     s = load_points_csv(data)
     rng = RngSeed(9).generator()
+    statistics._null_memo.clear()
     want = [run_test(s, m, tail="upper" if m in ("projection", "sup_distance") else "two-sided",
                      calibration="monte-carlo", mc_reps=150, mc_seed=9, rng=rng)
             for m in methods]

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import json
 import math
 import warnings
@@ -281,6 +280,7 @@ def test_monte_carlo_critical_values_match_per_method_calibration():
     for rep in range(cfg.reps):
         rng = _cell_rng(cfg.seed, "uniform", 0, rep)
         stats.append(_scores(sample(Uniform(cfg.p), cfg.n, rng), METHODS, rng))
+    statistics._null_memo.clear()
     for m in METHODS:
         crit = calibrate_critical_value_mc(10, 6, m, 0.1, 1000, _calibration_seed(5))
         assert curve.rate(0.0, m) == sum(s[m] >= crit for s in stats) / cfg.reps
@@ -298,14 +298,11 @@ def test_power_curve_decisions_equal_run_test(monkeypatch, tail, calibration):
         return out
 
     monkeypatch.setattr(harness, "p_values", spy)
-    # run_test draws the same null samples as the harness's single pass;
-    # keep them across calls so each method's pass runs once
-    null_pass = functools.lru_cache(maxsize=None)(statistics._null_statistics)
-    monkeypatch.setattr(statistics, "_null_statistics", null_pass)
     tails = {m: tail for m in METHODS if tail in NULL_LAWS[m].tails}
     cfg = _cfg(n=12, p=8, reps=100, signal_grid=(0.0, 3.0), methods=METHODS,
                tails=tails, calibration=calibration, seed=29)
     curve = run_power_curve(cfg)
+    statistics._null_memo.clear()
     mc = {}
     if calibration == "monte-carlo":
         mc = dict(mc_seed=_calibration_seed(cfg.seed), mc_reps=max(1000, cfg.reps))

@@ -356,3 +356,13 @@ def test_model_validation():
     mu_bad = np.ones(10)
     with pytest.raises(DomainError):
         Fvml(10, 1.0, mu_bad)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [Fvml, Watson])
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -1.0])
+def test_tilt_rejects_a_kappa_that_is_not_finite_and_nonnegative(model, kappa):
+    # NaN passed `kappa < 0` and failed later inside the normaliser's
+    # quadrature, with an error that named no field
+    with pytest.raises(DomainError, match="kappa"):
+        model(10, kappa)

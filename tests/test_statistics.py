@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -45,6 +48,7 @@ from sphuni.statistics import (
     PROJECTION,
     _null_statistics,
     _replicate,
+    _run_tests,
     _sup_null_rows,
     p_values,
 )
@@ -237,8 +241,10 @@ def test_null_cdf_table_is_read_only_and_brackets():
 
 
 def test_null_statistics_threads_equal_from_a_cold_table_cache():
+    statistics._null_memo.clear()
     _null_cdf_table.cache_clear()
     two = _null_statistics(30, 17, METHODS, 200, 5, threads=2)
+    statistics._null_memo.clear()
     _null_cdf_table.cache_clear()
     one = _null_statistics(30, 17, METHODS, 200, 5, threads=1)
     for m in METHODS:
@@ -519,9 +525,11 @@ def test_monte_carlo_two_sided_p_value_counts_both_tails():
 
 def test_monte_carlo_mode_outcome():
     s = _rand_sample(10, 5, 10)
+    statistics._null_memo.clear()
     out = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=400, mc_seed=11)
     assert 0.0 < out.p_value <= 1.0
     assert out.calibration == "monte-carlo(reps=400,seed=11)"
+    statistics._null_memo.clear()
     again = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=400, mc_seed=11)
     assert out == again
 
@@ -555,7 +563,9 @@ def test_outcome_csv_row():
 
 
 def test_calibrate_deterministic_and_edge():
+    statistics._null_memo.clear()
     a = calibrate_critical_value_mc(10, 6, "rayleigh", 0.05, 1000, 13)
+    statistics._null_memo.clear()
     b = calibrate_critical_value_mc(10, 6, "rayleigh", 0.05, 1000, 13)
     assert a == b
     mn = calibrate_critical_value_mc(10, 6, "rayleigh", 1.0, 1000, 13)
@@ -570,13 +580,16 @@ def test_calibrate_sup_distance_matches_asymptotic():
 
 
 def test_null_statistics_one_pass_equals_each_method_alone():
+    statistics._null_memo.clear()
     null = _null_statistics(10, 6, METHODS, 1000, 13)
     assert list(null) == list(METHODS)
     # scoring every method in one pass leaves each method's null law as it is alone
     for m in METHODS:
+        statistics._null_memo.clear()
         alone = _null_statistics(10, 6, (m,), 1000, 13)[m]
         assert null[m].shape == (1000,)
         np.testing.assert_array_equal(alone, null[m])
+    statistics._null_memo.clear()
     again = _null_statistics(10, 6, METHODS[::-1], 1000, RngSeed(13))
     for m in METHODS:
         np.testing.assert_array_equal(again[m], null[m])
@@ -643,3 +656,135 @@ def test_null_statistics_rejects_seed_stream():
     a = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=RngSeed(7))
     b = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=7)
     assert (a.p_value, a.reject) == (b.p_value, b.reject)
+
+
+# ---------------------------------------------------------------------------
+# the null memo
+
+
+@pytest.fixture
+def null_passes(monkeypatch):
+    """An empty null memo of the default budget, and the methods of every
+    `_replicate` pass that `_null_statistics` makes from here on."""
+    monkeypatch.setattr(statistics, "_null_memo", statistics._NullMemo(statistics._NULL_MEMO_ELEMS))
+    passes = []
+    replicate = statistics._replicate
+
+    def spy(model, n, methods, *args):
+        passes.append(tuple(methods))
+        return replicate(model, n, methods, *args)
+
+    monkeypatch.setattr(statistics, "_replicate", spy)
+    return passes
+
+
+def test_null_statistics_memo_repeated_run_test_makes_no_pass(null_passes):
+    s = _rand_sample(10, 6, 21)
+    kw = dict(calibration="monte-carlo", mc_reps=300, mc_seed=8)
+    first = run_test(s, "sup_distance", **kw)
+    assert null_passes == [("sup_distance",)]
+    assert run_test(s, "sup_distance", **kw) == first
+    assert run_test(_rand_sample(10, 6, 22), "sup_distance", **kw).calibration == first.calibration
+    assert null_passes == [("sup_distance",)]
+
+
+def test_null_statistics_memo_scores_only_the_missing_methods(null_passes):
+    s = _rand_sample(10, 6, 23)
+    run_test(s, "sup_distance", calibration="monte-carlo", mc_reps=300, mc_seed=8)
+    requests = (("sup_distance", "upper"), ("rayleigh", "upper"))
+    _run_tests(s, requests, 0.05, "monte-carlo", None, 300, 8, None)
+    assert null_passes == [("sup_distance",), ("rayleigh",)]
+
+
+def test_null_statistics_memo_arrays_are_read_only(null_passes):
+    fresh = _null_statistics(10, 6, METHODS, 200, 4)
+    kept = _null_statistics(10, 6, METHODS, 200, 4)
+    assert len(null_passes) == 1
+    for m in METHODS:
+        assert kept[m] is fresh[m]
+        assert not kept[m].flags.writeable
+        with pytest.raises(ValueError):
+            kept[m][0] = 0.0
+
+
+def test_null_statistics_memo_key_is_the_master_seed_without_threads(null_passes):
+    null = _null_statistics(10, 6, ("rayleigh", "packing"), 200, 13, threads=2)
+    seeded = _null_statistics(10, 6, ("packing", "rayleigh"), 200, RngSeed(13), threads=1)
+    assert len(null_passes) == 1
+    assert all(seeded[m] is null[m] for m in null)
+    assert list(seeded) == ["packing", "rayleigh"]
+    # n, p, reps and the seed each name another law
+    for n, p, reps, seed in ((11, 6, 200, 13), (10, 7, 200, 13), (10, 6, 201, 13), (10, 6, 200, 14)):
+        _null_statistics(n, p, ("rayleigh",), reps, seed)
+    assert len(null_passes) == 5
+
+
+def test_null_statistics_memo_evicts_the_least_recently_used(monkeypatch, null_passes):
+    monkeypatch.setattr(statistics, "_null_memo", statistics._NullMemo(2500))
+
+    def law(seed, reps=1000):
+        before = len(null_passes)
+        out = _null_statistics(10, 6, ("rayleigh",), reps, seed)["rayleigh"]
+        return out, len(null_passes) > before
+
+    one, scored = law(1)
+    assert scored
+    assert law(2)[1]
+    again, scored = law(1)  # 1 is now more recent than 2
+    assert again is one and not scored
+    assert law(3)[1]  # 3000 floats over a budget of 2500: 2 goes
+    big, scored = law(1, reps=3000)  # larger than the budget: returned, not kept
+    assert scored and big.shape == (3000,) and not big.flags.writeable
+    assert law(1, reps=3000)[1]
+    assert not law(1)[1] and not law(3)[1]
+    assert law(2)[1]
+
+
+def test_null_statistics_memo_p_values_equal_a_cold_recomputation():
+    s = _rand_sample(12, 7, 24)
+    requests = tuple((m, t) for m in METHODS for t in statistics.NULL_LAWS[m].tails)
+    direction = sample_uniform_direction(7, np.random.default_rng(3))
+
+    def outcomes():
+        return _run_tests(s, requests, 0.1, "monte-carlo", direction, 400, 19, None)
+
+    def crits():
+        return {m: calibrate_critical_value_mc(12, 7, m, 0.1, 1000, 19) for m in METHODS}
+
+    statistics._null_memo.clear()
+    outcomes(), crits()
+    kept, crit = outcomes(), crits()
+    statistics._null_memo.clear()
+    assert outcomes() == kept
+    for m in METHODS:
+        statistics._null_memo.clear()
+        assert calibrate_critical_value_mc(12, 7, m, 0.1, 1000, 19) == crit[m]
+
+
+def test_null_statistics_memo_under_racing_threads(monkeypatch):
+    # more threads than cores, switching often: the memo's size stays the
+    # sum of what it holds and within its budget, and racers on one key
+    # get the same floats
+    memo = statistics._NullMemo(50)
+    monkeypatch.setattr(statistics, "_null_memo", memo)
+    before = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        start = threading.Barrier(8)
+
+        def churn(t):
+            start.wait(timeout=60)
+            for i in range(5000):
+                key = (t, i % 7)
+                if not memo.get([key]):
+                    memo.put(key, np.full(1 + i % 7, float(t)))
+
+        with futures.ThreadPoolExecutor(8) as pool:
+            list(pool.map(churn, range(8), timeout=60))
+            laws = list(pool.map(lambda _: _null_statistics(9, 5, METHODS, 30, 3)["rayleigh"],
+                                 range(8), timeout=60))
+    finally:
+        sys.setswitchinterval(before)
+    kept = memo._laws.values()
+    assert memo._size == sum(a.size for a in kept) <= memo.budget
+    assert all(np.array_equal(a, laws[0]) for a in laws)
