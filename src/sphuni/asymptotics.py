@@ -72,6 +72,8 @@ _PAIR_PANELS = 4
 # grid.  The matvec's row grouping fixes the last ulp of each row, so the
 # distance search evaluates these same blocks
 _GRID_BLOCK = (1 << 22) // (_PAIR_NODES * _PAIR_NODES)
+# the distance search stops refining once a round improves the gap by less
+_REFINE_TOL = 1e-8
 
 
 def _pair_nodes(marg):
@@ -119,16 +121,13 @@ def model_inner_cdf(model: ModelSpec, u):
     u = np.asarray(u, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    if isinstance(model, Uniform):
+    if isinstance(model, Uniform) or (isinstance(model, _Tilt) and model.kappa == 0.0):
         out = null_inner_cdf(np.clip(u / math.sqrt(model.p), -1, 1), model.p)
     elif isinstance(model, LowRank):
         v = np.clip(u / math.sqrt(model.p), -1.0, 1.0)
         out = null_inner_cdf(v, model.k)
     elif isinstance(model, _Tilt):
-        if model.kappa == 0.0:
-            out = null_inner_cdf(np.clip(u / math.sqrt(model.p), -1, 1), model.p)
-        else:
-            out = _tilted_inner_cdf(u, model.p, model.kappa, model.power)
+        out = _tilted_inner_cdf(u, model.p, model.kappa, model.power)
     else:
         raise DomainError(
             f"no quadrature route for {type(model).__name__}; use estimate_distance_mc"
@@ -164,14 +163,12 @@ def _u_window(model: ModelSpec) -> tuple[float, float]:
     return lo, hi
 
 
-def distance_from_uniformity(
-    model: ModelSpec, grid_size: int = 4096, tol: float = 1e-8
-) -> float:
+def distance_from_uniformity(model: ModelSpec, grid_size: int = 4096) -> float:
     """sup_u |P_model(sqrt(p) X.Y <= u) - P_uniform(sqrt(p) X.Y <= u)|.
 
     The search starts from the maximum of the gap on `grid_size` evenly
     spaced points over the union of the two effective supports, then
-    refines around it until the improvement falls below `tol`.
+    refines around it until the improvement falls below `_REFINE_TOL`.
 
     The grid is cut into the quadrature's blocks of `_GRID_BLOCK` rows.
     Both CDFs increase with u, so on a block from u_s to u_e the gap is
@@ -187,13 +184,10 @@ def distance_from_uniformity(
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
-    if not tol > 0:
-        raise DomainError(f"tol must be > 0, got {tol}")
-    p = model.p
+    null = Uniform(model.p)
 
     def cdfs(u):
-        fm = np.asarray(model_inner_cdf(model, u))
-        return fm, null_inner_cdf(np.clip(u / math.sqrt(p), -1, 1), p)
+        return np.asarray(model_inner_cdf(model, u)), model_inner_cdf(null, u)
 
     def gap(u):
         fm, fn = cdfs(u)
@@ -228,7 +222,7 @@ def distance_from_uniformity(
         if gg[j] > best:
             best, u_star = float(gg[j]), float(uu[j])
         h /= 4.0
-        if improved < tol and h < 1e-6 * (hi - lo):
+        if improved < _REFINE_TOL and h < 1e-6 * (hi - lo):
             break
     return best
 

@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import BadTailError, ConfigError, InRegimeError, ParseError
-from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, RngSeed, Uniform, Watson
+from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, _master
 from .statistics import (
     BINGHAM,
     CALIBRATIONS,
@@ -183,23 +183,6 @@ def signal_model(family: str, n: int, p: int, tau: float):
 # seeds
 
 
-def _master_seed(seed) -> int:
-    """The int master of an experiment's `seed`: an int, or an `RngSeed`
-    of stream 0, which names the same master.
-
-    Replication r draws from a stream spawned from the master, so an
-    `RngSeed` of any other stream raises ConfigError.
-    """
-    if isinstance(seed, RngSeed):
-        if seed.stream != 0:
-            raise ConfigError(
-                f"field seed: replications draw from streams spawned from the master, "
-                f"so an RngSeed must have stream 0, got {seed}"
-            )
-        return seed.master
-    return int(seed)
-
-
 def _calibration_seed(master: int) -> int:
     return int.from_bytes(hashlib.sha256(f"calib:{master}".encode()).digest()[:6], "big")
 
@@ -301,7 +284,7 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     `reps` null replications and its Brownian-bridge limit."""
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
-    master = _master_seed(seed)
+    master = _master(seed, ConfigError, "field seed")
     stats = _replicate(Uniform(p), n, (SUP_DISTANCE,), reps,
                        lambda r: _cell_rng(master, "uniform", 0, r), threads)
     stats = np.sort(stats[SUP_DISTANCE])
@@ -329,9 +312,7 @@ class NonlocalResult:
             se = math.sqrt(rate * (1.0 - rate) / self.reps)
             yield f"{self.kind},0,{meth},{rate:.10g},{se:.10g},{self.reps},{self.seed}"
 
-    @staticmethod
-    def csv_header() -> str:
-        return "family,tau,method,rate,se,reps,seed"
+    csv_header = staticmethod(PowerCurve.csv_header)
 
 
 def run_nonlocal_experiment(
@@ -364,7 +345,7 @@ def run_nonlocal_experiment(
         raise ConfigError(f"field reps: need >= 2, got {reps}")
     if n < 3:
         raise ConfigError(f"the packing statistic needs n >= 3, got n={n}")
-    master = _master_seed(seed)
+    master = _master(seed, ConfigError, "field seed")
     if kind == "capmixture":
         if p < 2 * n * n:
             raise ConfigError(f"capmixture needs p >= 2 n^2, got n={n}, p={p}")

@@ -119,22 +119,21 @@ def pairwise_inner_products(s: UnitPointSet) -> InnerProductList:
 
     Computed afresh on every call; `s.inner_products` keeps one copy.
     """
-    gram = s.data @ s.data.T
-    vals = gram.ravel()[_upper_flat_indices(s.n)]
-    np.clip(vals, -1.0, 1.0, out=vals)
-    vals.sort()
+    n = s.n
+    # the Gram is allocated before the values it leaves, so that once freed
+    # its block lies below them and the next call reuses it; freed from the
+    # heap top, glibc would trim it and fault it back in on every call
+    gram = np.empty((1, n, n))
+    vals = _sorted_pairs(s.data[None], gram, np.empty((1, n * (n - 1) // 2)))[0]
     vals.setflags(write=False)
-    return InnerProductList(vals, s.n)
+    return InnerProductList(vals, n)
 
 
 def _sorted_pairs(x: np.ndarray, gram: np.ndarray, out: np.ndarray) -> np.ndarray:
     """`pairwise_inner_products` of a stack of samples x (b, n, p): row k
     of `out` (b, n(n-1)/2) gets sample k's values, through the stacked
     Gram in `gram` (b, n, n).  numpy runs each sample's Gram as its own
-    BLAS call, so every value is the float of a one-sample call.
-    `pairwise_inner_products` keeps its allocating form: through this
-    function (and with `make_unit_point_set` dividing a copy in place),
-    a benchmark request on a 400 x 600 sample ran 5-10 % slower."""
+    BLAS call, so every value is the float of a one-sample call."""
     b, n, _ = x.shape
     np.matmul(x, x.transpose(0, 2, 1), out=gram)
     np.take(gram.reshape(b, n * n), _upper_flat_indices(n), axis=1, out=out, mode="clip")
@@ -150,11 +149,8 @@ def apply_rotation(s: UnitPointSet, q) -> UnitPointSet:
         raise BadShapeError(f"rotation must be ({s.p}, {s.p}), got {q.shape}")
     if np.max(np.abs(q.T @ q - np.eye(s.p))) > 1e-8:
         raise NotOrthogonalError("q'q deviates from the identity by more than 1e-8")
-    out = s.data @ q.T
     # rotations preserve norms only up to rounding; restore exactly
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
-    out.setflags(write=False)
-    return UnitPointSet(out)
+    return make_unit_point_set(s.data @ q.T, normalize=True)
 
 
 def load_points_csv(path, normalize: bool = False) -> UnitPointSet:

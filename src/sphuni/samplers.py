@@ -137,6 +137,20 @@ class RngSeed:
         )
 
 
+def _master(seed, error, field: str) -> int:
+    """The int master seed named by `seed`: an int, or an `RngSeed` of
+    stream 0.  Each replication of a seeded pass draws from its own stream
+    of the master, so any other stream raises `error` naming `field`."""
+    if isinstance(seed, RngSeed):
+        if seed.stream != 0:
+            raise error(
+                f"{field}: replications draw from their own streams of the master, "
+                f"so an RngSeed must have stream 0, got {seed}"
+            )
+        return seed.master
+    return int(seed)
+
+
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
@@ -168,11 +182,11 @@ class InverseCdfTable:
         self.cdf = cdf
 
     @staticmethod
-    def _cell_masses(logpdf, edges, shift):
-        # 16-point Gauss-Legendre per cell, vectorized over cells
+    def _cell_masses(logpdf, lo, hi, shift):
+        # 16-point Gauss-Legendre on each cell [lo[i], hi[i]], vectorized
         xg, wg = np.polynomial.legendre.leggauss(16)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * np.diff(edges)
+        mid = 0.5 * (hi + lo)
+        half = 0.5 * (hi - lo)
         tt = mid[:, None] + half[:, None] * xg[None, :]
         ww = half[:, None] * wg[None, :]
         return np.sum(ww * np.exp(logpdf(tt) - shift), axis=1)
@@ -181,7 +195,7 @@ class InverseCdfTable:
         # pass 1: coarse mass profile on a uniform grid
         coarse = np.linspace(lo, hi, 1025)
         shift = float(np.max(logpdf(np.linspace(lo, hi, 4097))))
-        mass = self._cell_masses(logpdf, coarse, shift)
+        mass = self._cell_masses(logpdf, coarse[:-1], coarse[1:], shift)
         cum = np.concatenate([[0.0], np.cumsum(mass)])
         cum /= cum[-1]
         # pass 2: re-knot at equal CDF increments so cells carry equal mass
@@ -189,9 +203,8 @@ class InverseCdfTable:
         edges = np.interp(levels, cum, coarse)
         edges[0], edges[-1] = lo, hi
         edges = np.unique(edges)
-        xg, wg = np.polynomial.legendre.leggauss(16)
         for attempt in range(5):
-            mass = self._cell_masses(logpdf, edges, shift)
+            mass = self._cell_masses(logpdf, edges[:-1], edges[1:], shift)
             cdf = np.concatenate([[0.0], np.cumsum(mass)])
             total = cdf[-1]
             cdf /= total
@@ -205,11 +218,7 @@ class InverseCdfTable:
             midlev = 0.5 * (cdf[1:] + cdf[:-1])
             that = np.asarray(invp(midlev))
             idx = np.clip(np.searchsorted(edges, that, side="right") - 1, 0, len(edges) - 2)
-            a = edges[idx]
-            midq = 0.5 * (that + a)
-            halfq = 0.5 * (that - a)
-            tt = midq[:, None] + halfq[:, None] * xg[None, :]
-            part = np.sum(halfq[:, None] * wg[None, :] * np.exp(logpdf(tt) - shift), axis=1)
+            part = self._cell_masses(logpdf, edges[idx], that, shift)
             err = np.abs(cdf[idx] + part / total - midlev)
             bad = err > tol
             if not np.any(bad):

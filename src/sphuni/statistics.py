@@ -21,7 +21,7 @@ from .distributions import (
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
 from .points import InnerProductList, UnitPointSet, _row_norms, _sorted_pairs
-from .samplers import RngSeed, Uniform, _draw_rows, sample_uniform_direction
+from .samplers import RngSeed, Uniform, _draw_rows, _master, sample_uniform_direction
 
 SUP_DISTANCE = "sup_distance"
 RAYLEIGH = "rayleigh"
@@ -272,7 +272,8 @@ def _replicate(
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """Result of one uniformity test on one sample."""
+    """Result of one uniformity test on one sample; `standardized` is
+    `NULL_LAWS[method].scale(n)` times `statistic`, whatever the calibration."""
 
     method: str
     statistic: float
@@ -298,20 +299,22 @@ class TestOutcome:
 class NullLaw(NamedTuple):
     """A method's asymptotic null law and the tails its test may use.
 
-    `upper(stat, n)` is P(T >= stat) under the null, elementwise on an
-    array of statistics from samples of size n.
+    A statistic T of a sample of size n is standardized to
+    z = scale(n) T, and `upper(z)` is P(T >= t) under the null at
+    z = scale(n) t, elementwise on an array.
     """
 
+    scale: Callable
     upper: Callable
     tails: tuple[str, ...]
 
 
 NULL_LAWS = {
-    SUP_DISTANCE: NullLaw(lambda t, n: kolmogorov_sf(math.sqrt(n * (n - 1) / 2.0) * t), ("upper",)),
-    RAYLEIGH: NullLaw(lambda t, n: 1.0 - normal_cdf(t), TAILS),
-    BINGHAM: NullLaw(lambda t, n: 1.0 - normal_cdf(t), TAILS),
-    PACKING: NullLaw(lambda t, n: 1.0 - packing_gumbel_cdf(t), TAILS),
-    PROJECTION: NullLaw(lambda t, n: kolmogorov_sf(math.sqrt(n) * t), ("upper",)),
+    SUP_DISTANCE: NullLaw(lambda n: math.sqrt(n * (n - 1) / 2.0), kolmogorov_sf, ("upper",)),
+    RAYLEIGH: NullLaw(lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
+    BINGHAM: NullLaw(lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
+    PACKING: NullLaw(lambda n: 1.0, lambda z: 1.0 - packing_gumbel_cdf(z), TAILS),
+    PROJECTION: NullLaw(math.sqrt, kolmogorov_sf, ("upper",)),
 }
 
 
@@ -334,7 +337,8 @@ def p_values(method: str, stats, n: int, tail: str = "upper", null=None):
     """
     t = np.asarray(stats, dtype=float)
     if null is None:
-        up = NULL_LAWS[method].upper(t, n)
+        law = NULL_LAWS[method]
+        up = law.upper(law.scale(n) * t)
         low = 1.0 - up
     else:
         ref = np.sort(null)
@@ -364,7 +368,9 @@ def run_test(
     (1 + #{null >= T}) / (mc_reps + 1), equal-tailed for two-sided tails.
     The null law is scored by the first call for its (n, p, mc_reps,
     master seed, method) and then kept for the process
-    (`_null_statistics`), so a repeated request does no null work.  A bad method, alpha, tail,
+    (`_null_statistics`), so a repeated request does no null work; the
+    outcome's label names the master seed, so `mc_seed=7` and
+    `RngSeed(7)` give equal outcomes.  A bad method, alpha, tail,
     calibration, mc_reps or mc_seed raises before any work, so such a
     call leaves `rng` untouched.
     """
@@ -396,7 +402,7 @@ def _run_tests(
             raise CalibrationUnavailableError(
                 "monte-carlo calibration needs mc_seed for reproducible null draws"
             )
-        _mc_master(mc_reps, mc_seed)
+        master = _mc_master(mc_reps, mc_seed)
 
     stats = []
     for method, _ in requests:
@@ -414,11 +420,11 @@ def _run_tests(
     if calibration == "monte-carlo":
         # a method listed twice is scored once, as its own pass would score it
         methods = tuple(dict.fromkeys(m for m, _ in requests))
-        nulls = _null_statistics(s.n, s.p, methods, mc_reps, mc_seed)
-        label = f"monte-carlo(reps={mc_reps},seed={mc_seed})"
+        nulls = _null_statistics(s.n, s.p, methods, mc_reps, master)
+        label = f"monte-carlo(reps={mc_reps},seed={master})"
     out = []
     for (method, tail), stat in zip(requests, stats):
-        standardized = math.sqrt(s.n * (s.n - 1) / 2.0) * stat if method == SUP_DISTANCE else stat
+        standardized = NULL_LAWS[method].scale(s.n) * stat
         p_value = p_values(method, stat, s.n, tail, nulls.get(method))
         out.append(TestOutcome(method, stat, standardized, p_value, p_value <= alpha,
                                alpha, tail, label))
@@ -426,21 +432,11 @@ def _run_tests(
 
 
 def _mc_master(reps: int, seed) -> int:
-    """The master seed of a Monte Carlo null pass of `reps` replications.
-
-    Replication r draws from `RngSeed(master, r)`, so the seed is an int
-    or an `RngSeed` of stream 0; both give the same null samples.
-    """
+    """The master seed of a Monte Carlo null pass of `reps` replications,
+    whose replication r draws from `RngSeed(master, r)`."""
     if reps < 1:
         raise DomainError(f"mc_reps must be >= 1, got {reps}")
-    if isinstance(seed, RngSeed):
-        if seed.stream != 0:
-            raise DomainError(
-                f"mc_seed: null replication r draws from stream r, so an RngSeed "
-                f"must have stream 0, got {seed}"
-            )
-        return seed.master
-    return int(seed)
+    return _master(seed, DomainError, "mc_seed")
 
 
 # The null memo keeps at most this many floats of null statistics, about

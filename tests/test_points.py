@@ -28,6 +28,14 @@ def test_normalizes_3_4_5_rows():
     np.testing.assert_allclose(s.data, [[0.6, 0.8], [0.6, 0.8]], atol=1e-15)
 
 
+def test_normalize_leaves_the_callers_array_alone():
+    a = np.array([[3.0, 4.0], [1.0, 0.0], [0.0, 2.0]])
+    before = a.copy()
+    s = make_unit_point_set(a, normalize=True)
+    np.testing.assert_array_equal(a, before)
+    assert a.flags.writeable and not np.shares_memory(s.data, a)
+
+
 def test_zero_row_rejected():
     with pytest.raises(ZeroRowError, match="row 1"):
         make_unit_point_set([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], normalize=True)
@@ -71,6 +79,20 @@ def test_pairwise_count_and_order():
     assert len(ip) == 6
     assert np.all(np.diff(ip.values) >= 0)
     assert np.all(np.abs(ip.values) <= 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 80, 400])
+def test_pairwise_equals_the_allocating_formula(n):
+    # one sample's Gram, upper-triangle gather, clip and sort, written out
+    for p in (2, 7, 80, 600):
+        for seed in range(3):
+            rng = np.random.default_rng([n, p, seed])
+            s = make_unit_point_set(rng.standard_normal((n, p)), normalize=True)
+            gram = s.data @ s.data.T
+            want = gram.ravel()[np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))]
+            np.clip(want, -1.0, 1.0, out=want)
+            want.sort()
+            assert np.array_equal(pairwise_inner_products(s).values, want), (p, seed)
 
 
 def test_inner_products_cached_on_first_use():

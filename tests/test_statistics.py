@@ -534,6 +534,25 @@ def test_monte_carlo_mode_outcome():
     assert out == again
 
 
+def test_monte_carlo_outcome_is_labelled_by_its_master_seed():
+    # 7 and RngSeed(7) name the same null law, so they give one outcome
+    s = _rand_sample(10, 5, 10)
+    out = run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=7)
+    assert out == run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100,
+                           mc_seed=RngSeed(7))
+    assert out.calibration == "monte-carlo(reps=100,seed=7)"
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_asymptotic_p_value_is_the_upper_tail_at_the_standardized_statistic(method):
+    n = 30
+    s = sample(Fvml(12, 2.0), n, RngSeed(14))
+    out = run_test(s, method, rng=np.random.default_rng(3))
+    scale = {"sup_distance": math.sqrt(n * (n - 1) / 2.0), "projection": math.sqrt(n)}
+    assert out.standardized == scale.get(method, 1.0) * out.statistic
+    assert statistics.NULL_LAWS[method].upper(out.standardized) == out.p_value
+
+
 def test_run_test_computes_gram_once_per_sample(monkeypatch):
     calls = []
 
