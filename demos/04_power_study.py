@@ -2,7 +2,8 @@
 
 Runs the Monte Carlo harness on a reduced version of the shipped FvML
 config and sets the empirical rejection rates against the asymptotic
-shifted-Brownian-bridge predictions.
+predictions: the chance that a Brownian bridge leaves the band of half
+width c_alpha around the alternative's drift, computed deterministically.
 """
 
 from sphuni import ExperimentConfig, ShiftFunction, predict_asymptotic_power, run_power_curve
@@ -27,7 +28,7 @@ def main():
     print(f"FvML power at n = p = {N}, {REPS} replications per point")
     print("  tau   sup(emp)  sup(pred)  rayleigh  bingham")
     for tau in cfg.signal_grid:
-        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), 0.05, reps=20000, seed=0)
+        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), 0.05)
         print(
             f"  {tau:3.1f}   {curve.rate(tau, 'sup_distance'):7.3f}  {pred:8.3f}"
             f"  {curve.rate(tau, 'rayleigh'):8.3f}  {curve.rate(tau, 'bingham'):7.3f}"

@@ -11,7 +11,6 @@ distance from uniformity, and a seeded Monte Carlo harness.
 __version__ = "0.1.0"
 
 from .asymptotics import (
-    BridgeSupLaw,
     ShiftFunction,
     competitor_low_rank_power,
     distance_from_uniformity,
@@ -19,7 +18,6 @@ from .asymptotics import (
     fvml_llr_second_moment,
     model_inner_cdf,
     predict_asymptotic_power,
-    simulate_bridge_sup,
 )
 from .distributions import (
     CoordinateMarginal,

@@ -118,9 +118,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--shift", choices=[FVML_SHIFT, QUADRATIC_SHIFT], required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--reps", type=int, default=20000)
-    p.add_argument("--grid", type=int, default=2048)
-    common(p)
 
     p = sub.add_parser("calibrate", help="Monte Carlo critical value under the null")
     p.add_argument("--n", type=int, required=True)
@@ -229,11 +226,9 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    shift = ShiftFunction(args.shift, args.tau) if args.tau > 0 else None
-    power = predict_asymptotic_power(shift, args.alpha, reps=args.reps,
-                                     seed=args.seed, grid_size=args.grid)
+    power = predict_asymptotic_power(ShiftFunction(args.shift, args.tau), args.alpha)
     print(_kv(command="predict", shift=args.shift, tau=_fmt(args.tau),
-              alpha=_fmt(args.alpha), reps=args.reps, seed=args.seed, power=_fmt(power)))
+              alpha=_fmt(args.alpha), power=_fmt(power)))
     return 0
 
 
@@ -315,7 +310,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.seed is None and args.command != "power":  # power keeps its config's seed
+    # power keeps its config's seed, and predict draws nothing
+    if args.command not in ("power", "predict") and args.seed is None:
         args.seed = int(os.environ.get("SPHUNI_SEED", "0"))
     try:
         return _COMMANDS[args.command](args)

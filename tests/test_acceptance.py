@@ -166,14 +166,12 @@ def test_criterion_06_local_power_vs_bridge(fvml_curve, lowrank_curve):
     ok = True
     for tau in (0.5, 1.0, 1.5, 2.0):
         emp = fvml_curve.rate(tau, "sup_distance")
-        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), ALPHA, reps=20000, seed=0)
+        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), ALPHA)
         details.append(f"fvml tau={tau}: emp={emp:.3f} pred={pred:.3f}")
         ok &= abs(emp - pred) <= 0.10
     for tau in (2.0, 4.0, 8.0):
         emp = lowrank_curve.rate(tau, "sup_distance")
-        pred = predict_asymptotic_power(
-            ShiftFunction("quadratic", tau), ALPHA, reps=20000, seed=0
-        )
+        pred = predict_asymptotic_power(ShiftFunction("quadratic", tau), ALPHA)
         details.append(f"lowrank tau={tau}: emp={emp:.3f} pred={pred:.3f}")
         ok &= abs(emp - pred) <= 0.10
     bingham_max = max(fvml_curve.rate(t, "bingham") for t in (0.5, 1.0, 1.5, 2.0))
@@ -181,12 +179,10 @@ def test_criterion_06_local_power_vs_bridge(fvml_curve, lowrank_curve):
     ok &= bingham_max <= 0.10
     _report(6, ok, "; ".join(details))
     for tau in (0.5, 1.0, 1.5, 2.0):
-        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), ALPHA, reps=20000, seed=0)
+        pred = predict_asymptotic_power(ShiftFunction("fvml", tau), ALPHA)
         assert abs(fvml_curve.rate(tau, "sup_distance") - pred) <= 0.10
     for tau in (2.0, 4.0, 8.0):
-        pred = predict_asymptotic_power(
-            ShiftFunction("quadratic", tau), ALPHA, reps=20000, seed=0
-        )
+        pred = predict_asymptotic_power(ShiftFunction("quadratic", tau), ALPHA)
         assert abs(lowrank_curve.rate(tau, "sup_distance") - pred) <= 0.10
     assert bingham_max <= 0.10
 
@@ -205,9 +201,7 @@ def test_criterion_08_watson_local_regime(watson_curve):
     details = []
     for tau in taus:
         emp = watson_curve.rate(tau, "sup_distance")
-        pred = predict_asymptotic_power(
-            ShiftFunction("quadratic", tau), ALPHA, reps=20000, seed=0
-        )
+        pred = predict_asymptotic_power(ShiftFunction("quadratic", tau), ALPHA)
         details.append(f"tau={tau}: emp={emp:.3f} pred={pred:.3f}")
         ok &= abs(emp - pred) <= 0.12
     ray_max = max(watson_curve.rate(t, "rayleigh") for t in taus)
@@ -215,9 +209,7 @@ def test_criterion_08_watson_local_regime(watson_curve):
     ok &= ray_max <= 0.10
     _report(8, ok, "; ".join(details))
     for tau in taus:
-        pred = predict_asymptotic_power(
-            ShiftFunction("quadratic", tau), ALPHA, reps=20000, seed=0
-        )
+        pred = predict_asymptotic_power(ShiftFunction("quadratic", tau), ALPHA)
         assert abs(watson_curve.rate(tau, "sup_distance") - pred) <= 0.12
     assert ray_max <= 0.10
 

@@ -18,6 +18,8 @@ from sphuni import (
     estimate_distance_mc,
     fvml_llr_second_moment,
     fvml_marginal,
+    kolmogorov_quantile,
+    kolmogorov_sf,
     model_inner_cdf,
     normal_cdf,
     normal_pdf,
@@ -25,7 +27,6 @@ from sphuni import (
     null_inner_cdf,
     predict_asymptotic_power,
     sample,
-    simulate_bridge_sup,
     watson_marginal,
 )
 from sphuni import asymptotics
@@ -66,6 +67,9 @@ def test_shift_validation():
         ShiftFunction("cubic", 1.0)
     with pytest.raises(DomainError):
         ShiftFunction("fvml", 1.0).value(1.5)
+    for tau in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match=f"tau must be finite and >= 0, got {tau}"):
+            ShiftFunction("fvml", tau)
 
 
 # ---------------------------------------------------------------------------
@@ -360,75 +364,69 @@ def test_mc_distance_needs_enough_pairs():
 
 
 # ---------------------------------------------------------------------------
-# shifted bridge simulation
+# local power from the shifted bridge
 
 
-def test_bridge_null_exceedance_at_classical_critical_value():
-    law = simulate_bridge_sup(None, grid_size=2048, reps=20000, seed=0)
-    assert abs(law.exceedance(1.36) - 0.05) <= 0.01
-
-
-def test_bridge_null_mean_sup_after_grid_bias():
-    # the grid max under-estimates the continuous sup by about
-    # |zeta(1/2)|/sqrt(2 pi g); correcting for it recovers
-    # E sup |B| = sqrt(pi/2) log 2 = 0.86873
-    want = math.sqrt(math.pi / 2.0) * math.log(2.0)
-    bias = 0.5826
-    for g in (2048, 8192):
-        law = simulate_bridge_sup(None, grid_size=g, reps=20000, seed=0)
-        assert float(np.mean(law.sups)) + bias / math.sqrt(g) == pytest.approx(
-            want, abs=0.005
-        )
-
-
-def test_bridge_null_ks_to_kolmogorov_series():
-    from sphuni import kolmogorov_cdf, sup_cdf_distance
-
-    ks = {}
-    for g in (2048, 8192):
-        law = simulate_bridge_sup(None, grid_size=g, reps=20000, seed=0)
-        ks[g] = sup_cdf_distance(law.sups, kolmogorov_cdf(law.sups))
-    # grid bias of order 1/sqrt(g) dominates: ~0.022 at g = 2048
-    assert ks[2048] <= 0.03
-    assert ks[8192] < ks[2048]
-
-
-def test_bridge_exceedance_monotone_in_tau():
-    for kind in ("fvml", "quadratic"):
-        rates = [
-            predict_asymptotic_power(ShiftFunction(kind, tau), 0.05, reps=4000, seed=5)
-            for tau in (0.5, 1.0, 2.0)
-        ]
-        assert rates[0] <= rates[1] <= rates[2]
+@pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan])
+def test_predict_power_rejects_bad_alpha(alpha):
+    with pytest.raises(DomainError, match="alpha must be in"):
+        predict_asymptotic_power(ShiftFunction("fvml", 1.0), alpha)
 
 
 def test_predict_power_null_reduction():
-    assert abs(predict_asymptotic_power(None, 0.05, reps=20000, seed=0) - 0.05) <= 0.01
-    tiny = ShiftFunction("fvml", 1e-4)
-    assert abs(predict_asymptotic_power(tiny, 0.05, reps=20000, seed=0) - 0.05) <= 0.01
+    # a zero drift leaves the Kolmogorov law, whose tail at c_alpha is alpha
+    for alpha in (0.01, 0.05, 0.1, 0.3):
+        want = float(kolmogorov_sf(kolmogorov_quantile(alpha)))
+        for kind in ("fvml", "quadratic"):
+            got = predict_asymptotic_power(ShiftFunction(kind, 0.0), alpha)
+            assert got == pytest.approx(want, abs=1e-10)
+    tiny = predict_asymptotic_power(ShiftFunction("fvml", 1e-4), 0.05)
+    assert tiny == pytest.approx(0.05, abs=1e-10)
+
+
+@pytest.mark.parametrize("a, d", [(0.5, 0.8), (1.0, 0.3), (0.7, 0.7)])
+def test_bridge_stay_probability_linear_edge(a, d):
+    # a bridge crosses the line from a at t = 0 to d at t = 1 with chance
+    # exp(-2 a d); the lower edge, 10 below, is out of reach
+    c = 5.0
+    t = np.linspace(0.0, 1.0, asymptotics._BRIDGE_STEPS + 1)
+    drift = a - c + (d - a) * t
+    leave = 1.0 - asymptotics._bridge_stay_probability(drift, c)
+    assert leave == pytest.approx(math.exp(-2.0 * a * d), abs=1e-9)
+
+
+_POWER_TABLE = [("fvml", 0.5), ("fvml", 1.0), ("fvml", 1.5), ("fvml", 2.0),
+                ("quadratic", 2.0), ("quadratic", 4.0), ("quadratic", 8.0)]
+
+
+def test_predict_power_converges(monkeypatch):
+    coarse = [predict_asymptotic_power(ShiftFunction(*s), 0.05) for s in _POWER_TABLE]
+    monkeypatch.setattr(asymptotics, "_BRIDGE_STEPS", 2 * asymptotics._BRIDGE_STEPS)
+    monkeypatch.setattr(asymptotics, "_BAND_NODES", 2 * asymptotics._BAND_NODES)
+    fine = [predict_asymptotic_power(ShiftFunction(*s), 0.05) for s in _POWER_TABLE]
+    assert np.max(np.abs(np.subtract(coarse, fine))) <= 5e-4
+
+
+def test_bridge_exceedance_monotone_in_tau():
+    for kind, taus in (("fvml", (0.0, 0.25, 0.5, 1.0, 2.0, 3.0)),
+                       ("quadratic", (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0))):
+        rates = [predict_asymptotic_power(ShiftFunction(kind, tau), 0.05) for tau in taus]
+        assert np.all(np.diff(rates) > 0), (kind, rates)
+
+
+def test_predict_power_strong_signal():
+    assert predict_asymptotic_power(ShiftFunction("fvml", 6.0), 0.05) >= 0.999
 
 
 def test_predict_power_regression_baselines():
-    # pinned from 1e5-replication runs (grid 2048, seed 0):
-    # fvml tau=2 -> 0.6726, quadratic tau=8 -> 0.2913
-    got = predict_asymptotic_power(ShiftFunction("fvml", 2.0), 0.05, reps=20000, seed=0)
-    assert got == pytest.approx(0.6726, abs=0.015)
-    assert 0.05 < got < 1.0
-    got8 = predict_asymptotic_power(ShiftFunction("quadratic", 8.0), 0.05, reps=20000, seed=0)
-    assert got8 == pytest.approx(0.2913, abs=0.015)
-
-
-def test_predict_power_reproducible():
-    a = predict_asymptotic_power(ShiftFunction("fvml", 2.0), 0.05, reps=2000, seed=42)
-    b = predict_asymptotic_power(ShiftFunction("fvml", 2.0), 0.05, reps=2000, seed=42)
-    assert a == b
-
-
-def test_bridge_argument_validation():
-    with pytest.raises(DomainError):
-        simulate_bridge_sup(None, grid_size=100, reps=2000)
-    with pytest.raises(DomainError):
-        simulate_bridge_sup(None, grid_size=1024, reps=10)
+    # deterministic values; doubling both discretisation constants moves
+    # them by 5e-5 and 1.3e-4, and simulated bridges on a 32768-point grid
+    # gave 0.6803 and 0.3038 (standard error about 0.003)
+    got = predict_asymptotic_power(ShiftFunction("fvml", 2.0), 0.05)
+    assert got == pytest.approx(0.685627, abs=1e-3)
+    assert got == predict_asymptotic_power(ShiftFunction("fvml", 2.0), 0.05)
+    got8 = predict_asymptotic_power(ShiftFunction("quadratic", 8.0), 0.05)
+    assert got8 == pytest.approx(0.306906, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,9 @@ def test_subcommand_help_lists_flags(capsys):
     ["distance", "--model", "fvml", "--n", "10", "--p", "10", "--out", "x.csv"],
     ["predict", "--shift", "fvml", "--tau", "1", "--out", "x.csv"],
     ["calibrate", "--n", "10", "--p", "10", "--method", "rayleigh", "--out", "x.csv"],
+    ["predict", "--shift", "fvml", "--tau", "1", "--reps", "100"],
+    ["predict", "--shift", "fvml", "--tau", "1", "--grid", "2048"],
+    ["predict", "--shift", "fvml", "--tau", "1", "--seed", "0"],
 ])
 def test_flags_a_command_would_ignore_exit_64(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -141,13 +144,21 @@ def test_cmd_test_normalize_fixes_rows(tmp_path, capsys):
     assert rc == 0
 
 
-def test_cmd_predict_null_reduction(tmp_path, capsys):
-    rc = main(["predict", "--shift", "quadratic", "--tau", "0", "--alpha", "0.05",
-               "--reps", "20000", "--seed", "0"])
+def test_cmd_predict_null_reduction(monkeypatch, capsys):
+    monkeypatch.setenv("SPHUNI_SEED", "9")  # predict draws nothing, so has no seed
+    rc = main(["predict", "--shift", "quadratic", "--tau", "0", "--alpha", "0.05"])
     captured = capsys.readouterr()
     assert rc == 0
-    power = float(dict(kv.split("=") for kv in captured.out.split()).get("power"))
-    assert abs(power - 0.05) <= 0.01
+    assert captured.out == "command=predict shift=quadratic tau=0 alpha=0.05 power=0.05\n"
+
+
+@pytest.mark.parametrize("tau", ["-1", "nan"])
+def test_cmd_predict_bad_tau_exits_1(tau, capsys):
+    rc = main(["predict", "--shift", "fvml", "--tau", tau])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "tau must be finite and >= 0" in captured.err
 
 
 def test_cmd_distance_lowrank(capsys):
