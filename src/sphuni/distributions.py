@@ -10,6 +10,8 @@ FvML/Watson samplers and quadratures.
 from __future__ import annotations
 
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -25,11 +27,31 @@ _CLAMP_SLACK = 1e-12
 # beta / null inner-product CDF
 
 
+# an evaluation of at least this many values is split across _CDF_WORKERS
+# threads; below it one slice costs less than starting a pool.  Every
+# evaluation on the power and test-request paths (the sup kernel's few
+# values per row, the 16,385 knots of _null_cdf_table, which also run in
+# _replicate's worker threads) stays below it, so no pools nest
+_CDF_SPLIT = 1 << 16
+_CDF_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
 def null_inner_cdf(t, p: int):
     """CDF of the inner product of two independent uniform points on S^{p-1}.
 
     Equals I_{(1+t)/2}((p-1)/2, (p-1)/2).  Arguments within 1e-12 of
-    [-1, 1] are clamped; larger deviations raise DomainError.
+    [-1, 1] are clamped; larger deviations raise DomainError, before any
+    value is computed.  A NaN gives NaN.
+
+    An evaluation of at least `_CDF_SPLIT` (65,536) values is cut into
+    one contiguous slice of the flattened arguments per CPU the process
+    may run on (`os.sched_getaffinity`), and the slices run `betainc` on
+    a thread pool of that size made for the call; betainc releases the
+    GIL.  betainc is elementwise, so every value is the same float
+    whatever the number of slices.  A smaller evaluation, or any on one
+    CPU, is one slice on the calling thread.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
@@ -38,7 +60,14 @@ def null_inner_cdf(t, p: int):
         raise DomainError("t outside [-1, 1]")
     x = np.clip((1.0 + t) / 2.0, 0.0, 1.0)
     a = (p - 1) / 2.0
-    out = special.betainc(a, a, x)
+    out = np.empty(t.shape)
+    if x.size < _CDF_SPLIT or _CDF_WORKERS == 1:
+        special.betainc(a, a, x, out=out)
+    else:
+        with futures.ThreadPoolExecutor(max_workers=_CDF_WORKERS) as pool:
+            list(pool.map(lambda xs, part: special.betainc(a, a, xs, out=part),
+                          np.array_split(x.ravel(), _CDF_WORKERS),
+                          np.array_split(out.reshape(-1), _CDF_WORKERS)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -149,8 +149,8 @@ def signal_model(family: str, n: int, p: int, tau: float):
     watson:  kappa = p^{3/2} sqrt(tau) / (2 (sqrt(n) + sqrt(tau p)))
     lowrank: k = round(p (1 - tau/n))
     """
-    if tau < 0:
-        raise ConfigError(f"field signal_grid: tau must be >= 0, got {tau}")
+    if not (math.isfinite(tau) and tau >= 0):
+        raise ConfigError(f"field signal_grid: tau must be finite and >= 0, got {tau}")
     if family == "uniform":
         return Uniform(p)
     if family == "fvml":

@@ -108,10 +108,11 @@ def _row_norms(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
 
 @lru_cache(maxsize=4)
 def _upper_flat_indices(n: int) -> np.ndarray:
-    """Row-major flat indices of the strict upper triangle of an n x n matrix."""
-    idx = np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
-    idx.setflags(write=False)
-    return idx
+    """Row-major flat indices of the strict upper triangle of an n x n matrix.
+
+    Shared by every caller and never written.  It is left writeable
+    because `np.take` copies a read-only index on every call."""
+    return np.ravel_multi_index(np.triu_indices(n, k=1), (n, n))
 
 
 def pairwise_inner_products(s: UnitPointSet) -> InnerProductList:

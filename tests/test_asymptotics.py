@@ -29,7 +29,7 @@ from sphuni import (
     sample,
     watson_marginal,
 )
-from sphuni import asymptotics
+from sphuni import asymptotics, distributions
 
 SQRT2PI = math.sqrt(2 * math.pi)
 
@@ -149,15 +149,19 @@ def _full_grid_cdf(u, p, kappa, power):
 
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("p", [5, 60, 1000])
-def test_tilted_cdf_equals_full_grid(power, p):
+def test_tilted_cdf_equals_full_grid(power, p, monkeypatch):
     # the grid is stored once per unordered node pair; the result must
     # be == to the full ordered-pair grid for 1 and 17 rows, one block
-    # plus one row, and two blocks plus one row
+    # plus one row, and two blocks plus one row, whether the null CDF
+    # runs on one thread or is split three ways (from 17 rows on)
     kappa = p**0.75 / 2.0
     for rows in (1, 17, 456, 911):
         u = np.linspace(-6.0, 6.0 + math.sqrt(p) * 0.1, rows) if rows > 1 else np.array([0.3])
-        got = asymptotics._tilted_inner_cdf(u, p, kappa, power)
-        assert np.array_equal(got, _full_grid_cdf(u, p, kappa, power)), (power, p, rows)
+        want = _full_grid_cdf(u, p, kappa, power)
+        for workers in (1, 3):
+            monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
+            got = asymptotics._tilted_inner_cdf(u, p, kappa, power)
+            assert np.array_equal(got, want), (power, p, rows, workers)
 
 
 def test_tilted_cdf_evaluates_each_unordered_pair_once(monkeypatch):
@@ -183,9 +187,12 @@ def test_tilted_cdf_evaluates_each_unordered_pair_once(monkeypatch):
 # distance from uniformity
 
 
-def test_distance_pinned_value():
-    # recorded before the quadrature grid was halved to unordered pairs
-    assert repr(distance_from_uniformity(Fvml(200, 1.0))) == "0.00014121682313905648"
+def test_distance_pinned_value(monkeypatch):
+    # recorded before the quadrature grid was halved to unordered pairs;
+    # the same on one thread and with each null CDF block split three ways
+    for workers in (1, 3):
+        monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
+        assert repr(distance_from_uniformity(Fvml(200, 1.0))) == "0.00014121682313905648"
 
 
 def _full_grid_distance(model, grid_size=4096, tol=1e-8):

@@ -161,6 +161,14 @@ def test_cmd_predict_bad_tau_exits_1(tau, capsys):
     assert "tau must be finite and >= 0" in captured.err
 
 
+def test_cmd_distance_nan_tau_names_the_field(capsys):
+    rc = main(["distance", "--model", "lowrank", "--n", "10", "--p", "10", "--tau", "nan"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "field signal_grid: tau must be finite and >= 0, got nan" in captured.err
+
+
 def test_cmd_distance_lowrank(capsys):
     rc = main(["distance", "--model", "lowrank", "--n", "1000", "--p", "10000",
                "--tau", "2.0", "--mode", "quadrature"])

@@ -19,6 +19,7 @@ from sphuni import (
     packing_gumbel_quantile,
     watson_marginal,
 )
+from sphuni import distributions
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +108,61 @@ def test_null_cdf_clamps_tiny_overshoot_only():
     assert null_inner_cdf(1.0 + 5e-13, 10) == 1.0
     with pytest.raises(DomainError):
         null_inner_cdf(1.1, 10)
+
+
+def _count_pools(monkeypatch):
+    """Count the thread pools null_inner_cdf starts, with their sizes."""
+    started = []
+    real = distributions.futures.ThreadPoolExecutor
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(distributions.futures, "ThreadPoolExecutor", pool)
+    return started
+
+
+@pytest.mark.parametrize("workers", [None, 1, 3])
+@pytest.mark.parametrize(
+    "shape", [(distributions._CDF_SPLIT - 1,), (distributions._CDF_SPLIT,), (455, 4656)]
+)
+def test_null_cdf_split_is_betainc_bit_for_bit(shape, workers, monkeypatch):
+    # below the threshold one slice on the calling thread; from it on one
+    # contiguous slice per worker, with every value betainc's own float
+    if workers is not None:
+        monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
+    started = _count_pools(monkeypatch)
+    p = 999
+    rng = np.random.default_rng(list(shape))
+    t = np.clip(rng.standard_normal(shape) * 3.0 / math.sqrt(p), -1.0, 1.0)
+    t.flat[:3] = -1.0, 1.0, 1.0 + 5e-13
+    t.flat[-1] = np.nan
+    a = (p - 1) / 2.0
+    got = null_inner_cdf(t, p)
+    assert got.shape == shape
+    assert np.array_equal(got, special.betainc(a, a, np.clip((1 + t) / 2, 0, 1)), equal_nan=True)
+    assert np.isnan(got.flat[-1]) and got.flat[2] == 1.0
+    split = t.size >= distributions._CDF_SPLIT and distributions._CDF_WORKERS > 1
+    assert started == ([distributions._CDF_WORKERS] if split else [])
+    if t.ndim == 2:  # a Fortran-ordered view is sliced in C order too
+        assert np.array_equal(null_inner_cdf(t.T, p), got.T, equal_nan=True)
+
+
+def test_null_cdf_scalar_and_nan_pass_through():
+    assert type(null_inner_cdf(0.3, 10)) is float
+    assert math.isnan(null_inner_cdf(math.nan, 10))
+    assert null_inner_cdf(np.zeros((2, 3)), 10).shape == (2, 3)
+
+
+def test_null_cdf_rejects_out_of_range_before_any_worker(monkeypatch):
+    monkeypatch.setattr(distributions, "_CDF_WORKERS", 3)
+    started = _count_pools(monkeypatch)
+    t = np.zeros(2 * distributions._CDF_SPLIT)
+    t[-1] = 1.1
+    with pytest.raises(DomainError):
+        null_inner_cdf(t, 50)
+    assert started == []
 
 
 def test_null_cdf_normal_approx_improves_with_p():

@@ -162,6 +162,13 @@ def test_signal_map_out_of_regime():
         signal_model("capmixture", 10, 300, 1.0)
 
 
+@pytest.mark.parametrize("family", ["fvml", "watson", "lowrank"])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -1.0])
+def test_signal_map_rejects_bad_tau(family, tau):
+    with pytest.raises(ConfigError, match="field signal_grid: tau must be finite"):
+        signal_model(family, 10, 10, tau)
+
+
 def test_watson_marginal_regime_warns():
     with pytest.warns(UserWarning, match="marginal"):
         signal_model("watson", 1000, 100, 0.5)

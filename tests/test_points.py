@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,6 +16,7 @@ from sphuni import (
     make_unit_point_set,
     pairwise_inner_products,
 )
+from sphuni.points import _sorted_pairs
 
 
 def test_accepts_exact_unit_rows():
@@ -93,6 +95,24 @@ def test_pairwise_equals_the_allocating_formula(n):
             np.clip(want, -1.0, 1.0, out=want)
             want.sort()
             assert np.array_equal(pairwise_inner_products(s).values, want), (p, seed)
+
+
+def test_sorted_pairs_allocates_nothing():
+    # np.take copies a read-only index on every call (624 KiB at n = 400);
+    # the cached index is writeable, so a warm call allocates no n(n-1)/2 array
+    n, p = 400, 60
+    s = make_unit_point_set(np.random.default_rng(4).standard_normal((n, p)), normalize=True)
+    x = s.data[None]
+    gram, out = np.empty((1, n, n)), np.empty((1, n * (n - 1) // 2))
+    _sorted_pairs(x, gram, out)
+    tracemalloc.start()
+    try:
+        _sorted_pairs(x, gram, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert np.array_equal(out[0], pairwise_inner_products(s).values)
 
 
 def test_inner_products_cached_on_first_use():
