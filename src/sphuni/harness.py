@@ -241,8 +241,15 @@ def export_csv(result, path) -> None:
 # experiments
 
 
+def _check_threads(threads: int) -> None:
+    """Every experiment runs its replications on `threads` >= 1 threads."""
+    if threads < 1:
+        raise ConfigError(f"field threads: need >= 1, got {threads}")
+
+
 def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
     """Rejection rate per (tau, method) over cfg.reps fresh samples each."""
+    _check_threads(threads)
     if cfg.model_family not in _POWER_FAMILIES:
         raise ConfigError(
             f"field model_family: power curves support {_POWER_FAMILIES}, "
@@ -284,6 +291,7 @@ def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 
     `reps` null replications and its Brownian-bridge limit."""
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
+    _check_threads(threads)
     master = _master(seed, ConfigError, "field seed")
     stats = _replicate(Uniform(p), n, (SUP_DISTANCE,), reps,
                        lambda r: _cell_rng(master, "uniform", 0, r), threads)
@@ -343,6 +351,7 @@ def run_nonlocal_experiment(
         raise ConfigError(f"field alpha: must be in (0, 1), got {alpha}")
     if reps < 2:
         raise ConfigError(f"field reps: need >= 2, got {reps}")
+    _check_threads(threads)
     if n < 3:
         raise ConfigError(f"the packing statistic needs n >= 3, got n={n}")
     master = _master(seed, ConfigError, "field seed")

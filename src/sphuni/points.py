@@ -74,25 +74,36 @@ def make_unit_point_set(raw, normalize: bool = False) -> UnitPointSet:
     ------
     BadShapeError, ZeroRowError, NotUnitError
     """
-    arr = np.asarray(raw, dtype=float)
+    # a copy in the input's own memory order, which keeps the summation
+    # order of its row norms
+    return _own_unit_point_set(np.array(raw, dtype=float, order="K"), normalize)
+
+
+def _own_unit_point_set(arr: np.ndarray, normalize: bool = False) -> UnitPointSet:
+    """`make_unit_point_set` of a float array that the caller hands over:
+    after the same checks, its rows are divided by their norms in place
+    and it is marked read-only."""
     if arr.ndim != 2:
         raise BadShapeError(f"expected a 2-D array, got ndim={arr.ndim}")
     n, p = arr.shape
     if n < 2 or p < 2:
         raise BadShapeError(f"need n >= 2 and p >= 2, got shape ({n}, {p})")
-    out = arr / _row_norms(arr, normalize)[:, None]
-    out.setflags(write=False)
-    return UnitPointSet(out)
+    arr /= _row_norms(arr, normalize)[:, None]
+    arr.setflags(write=False)
+    return UnitPointSet(arr)
 
 
 def _row_norms(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
-    """The norm of every row of `arr` (last axis, any leading shape),
-    after `make_unit_point_set`'s checks on the rows; a row index in an
-    error counts within its own sample."""
-    if not np.all(np.isfinite(arr)):
+    """The norm of every row of `arr` (last axis, any leading shape), by
+    `_norms`, so with no array of squares for C-contiguous rows, after
+    `make_unit_point_set`'s checks on the rows; a row index in an error
+    counts within its own sample."""
+    norms = _norms(arr)
+    # a non-finite value makes its row's norm non-finite, so the rows are
+    # searched only when a norm is
+    if not np.all(np.isfinite(norms)) and not np.all(np.isfinite(arr)):
         bad = int(np.argwhere(~np.isfinite(arr).all(axis=-1))[0][-1])
         raise BadShapeError(f"non-finite value in row {bad}")
-    norms = np.linalg.norm(arr, axis=-1)
     if np.any(norms < _ZERO_TOL):
         at = tuple(np.argwhere(norms < _ZERO_TOL)[0])
         raise ZeroRowError(f"row {at[-1]} has norm {norms[at]:.3e} < {_ZERO_TOL}")
@@ -104,6 +115,36 @@ def _row_norms(arr: np.ndarray, normalize: bool = True) -> np.ndarray:
                 f"row {at[-1]} has norm {norms[at]:.8f}; pass normalize=True to rescale"
             )
     return norms
+
+
+# `_norms` squares rows through a scratch buffer of about this many floats
+_NORM_SCRATCH = 1 << 14
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(x, axis=-1)`, the same floats, without its array of
+    squares as large as x.
+
+    For real x that is sqrt(np.add.reduce(x * x, axis=-1)); each row's
+    squares are summed along the row, pairwise, whatever other rows share
+    the call.  So for C-contiguous x the squares of a few rows at a time
+    go through one scratch buffer of `_NORM_SCRATCH` floats.  Other
+    layouts keep `np.linalg.norm`, whose squares take x's memory order
+    and, for a Fortran-ordered x, are summed in another order.
+    """
+    if not x.flags.c_contiguous:
+        return np.linalg.norm(x, axis=-1)
+    p = x.shape[-1]
+    rows = x.reshape(-1, p)
+    out = np.empty(len(rows))
+    step = max(1, _NORM_SCRATCH // p)
+    scratch = np.empty((min(step, len(rows)), p))
+    for i in range(0, len(rows), step):
+        chunk = rows[i : i + step]
+        squares = scratch[: len(chunk)]
+        np.multiply(chunk, chunk, out=squares)
+        np.add.reduce(squares, axis=-1, out=out[i : i + step])
+    return np.sqrt(out, out=out).reshape(x.shape[:-1])
 
 
 @lru_cache(maxsize=4)
@@ -151,7 +192,7 @@ def apply_rotation(s: UnitPointSet, q) -> UnitPointSet:
     if np.max(np.abs(q.T @ q - np.eye(s.p))) > 1e-8:
         raise NotOrthogonalError("q'q deviates from the identity by more than 1e-8")
     # rotations preserve norms only up to rounding; restore exactly
-    return make_unit_point_set(s.data @ q.T, normalize=True)
+    return _own_unit_point_set(s.data @ q.T, normalize=True)
 
 
 def load_points_csv(path, normalize: bool = False) -> UnitPointSet:
@@ -182,4 +223,4 @@ def load_points_csv(path, normalize: bool = False) -> UnitPointSet:
             rows.append(vals)
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    return make_unit_point_set(np.asarray(rows), normalize=normalize)
+    return _own_unit_point_set(np.asarray(rows, dtype=float), normalize)

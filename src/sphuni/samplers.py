@@ -17,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .distributions import CoordinateMarginal, _marginal
 from .errors import DomainError
-from .points import UnitPointSet, make_unit_point_set
+from .points import UnitPointSet, _norms, _own_unit_point_set
 
 __all__ = [
     "Uniform",
@@ -262,53 +262,59 @@ def _cap_angle_table(p: int, eps: float) -> InverseCdfTable:
 
 def sample_uniform_direction(p: int, rng) -> np.ndarray:
     """One uniform draw on S^{p-1}: a normalized standard Gaussian vector."""
-    return _uniform_rows(1, p, _as_rng(rng))[0]
+    rng = _as_rng(rng)
+    return _unit_normals(rng.standard_normal((1, 1, p)), [rng])[0, 0]
 
 
-def _uniform_rows(n: int, p: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """n uniform rows on S^{p-1}, drawn into `out` (n, p) when given; the
-    draw is the same stream either way."""
-    x = rng.standard_normal((n, p)) if out is None else rng.standard_normal(out=out)
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-12):  # pragma: no cover - probability ~1e-300
-        bad = norms < 1e-12
-        x[bad] = rng.standard_normal((int(bad.sum()), p))
-        norms = np.linalg.norm(x, axis=1)
-    x /= norms[:, None]
+def _unit_normals(x: np.ndarray, rngs) -> np.ndarray:
+    """Divide every row of the standard normals x (B, n, q), sample k drawn
+    from rngs[k], by its norm in place: rows uniform on S^{q-1}.  A row of
+    norm below 1e-12 is first redrawn from its own sample's generator."""
+    norms = _norms(x)
+    for k in np.flatnonzero(np.any(norms < 1e-12, axis=-1)):  # pragma: no cover - p ~1e-300
+        while np.any(bad := norms[k] < 1e-12):
+            x[k][bad] = rngs[k].standard_normal((int(bad.sum()), x.shape[-1]))
+            norms[k] = _norms(x[k])
+    x /= norms[..., None]
     return x
 
 
-def _tangent_frame_rows(mu: np.ndarray, w: np.ndarray, out=None) -> np.ndarray:
-    """Map rows w on S^{p-2} (as vectors in R^{p-1}) into the tangent
-    space mu-perp in R^p via the Householder reflection exchanging e1
-    and -/+mu.  O(n p) and exact orthogonality to mu up to rounding."""
-    p = mu.shape[0]
-    sign = 1.0 if mu[0] >= 0 else -1.0
-    v = mu.copy()
-    v[0] += sign  # v = mu + sign*e1; reflection sends e1 -> -sign*mu
-    vnorm2 = 2.0 * (1.0 + sign * mu[0])
-    full = np.empty((w.shape[0], p)) if out is None else out
-    full[:, 0] = 0.0
-    full[:, 1:] = w
-    coef = (full @ v) * (2.0 / vnorm2)
-    full -= coef[:, None] * v
-    return full
+def _tangent_normal_block(model: _Tilt, rngs, out: np.ndarray, normals) -> np.ndarray:
+    """Draws X = T mu + sqrt(1-T^2) W from the tilt `model` into every row
+    of `out` (B, n, p): T from its marginal, W uniform on the unit sphere
+    orthogonal to mu (e1 when mu is None), sample k from rngs[k].
 
-
-def _tangent_normal_rows(model: _Tilt, n: int, rng, out=None) -> np.ndarray:
-    """n draws X = T mu + sqrt(1-T^2) W from the tilt `model`, with T from
-    its marginal and W uniform on the sphere orthogonal to mu (e1 when
-    mu is None), built in `out` (n, p) when given."""
-    p = model.p
-    mu = _e1(p) if model.mu is None else model.mu
-    t = np.asarray(_marginal_table(p, float(model.kappa), model.power)(rng.random(n)))
-    x = _tangent_frame_rows(mu, _uniform_rows(n, p - 1, rng), out)
-    # sqrt(1 - t^2) * tang + t * mu, built in tang's buffer; addition
-    # commutes, so the order of the two terms does not change a bit
-    x *= np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[:, None]
-    x += t[:, None] * mu
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    return x
+    Sample k draws its n uniforms and then its tangent normals into
+    `normals[k]` (B, n, p - 1); the table lookup, the normalisations and
+    the tangent map then run once over the block.  With mu given, W is
+    the reflection exchanging e1 and -/+mu of the row [0, w]; with mu =
+    e1 that reflection fixes the row, so W is [0, w] itself."""
+    b, n, p = out.shape
+    u = np.empty((b, n))
+    for rng, uk, wk in zip(rngs, u, normals):
+        rng.random(out=uk)
+        rng.standard_normal(out=wk)
+    t = np.asarray(_marginal_table(p, float(model.kappa), model.power)(u))
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[..., None]
+    w = _unit_normals(normals, rngs)
+    if model.mu is None:
+        out[..., 0] = t
+        np.multiply(w, s, out=out[..., 1:])
+    else:
+        mu = model.mu
+        sign = 1.0 if mu[0] >= 0 else -1.0
+        v = mu.copy()
+        v[0] += sign  # v = mu + sign*e1; reflection sends e1 -> -sign*mu
+        vnorm2 = 2.0 * (1.0 + sign * mu[0])
+        out[..., 0] = 0.0
+        out[..., 1:] = w
+        # numpy runs one matrix-vector product per sample, as for a block of one
+        coef = (out @ v) * (2.0 / vnorm2)
+        out -= coef[..., None] * v
+        out *= s
+        out += t[..., None] * mu
+    out /= _norms(out)[..., None]
+    return out
 
 
 def _lowrank_rows(n: int, p: int, k: int, rotate: bool, rng) -> np.ndarray:
@@ -316,7 +322,7 @@ def _lowrank_rows(n: int, p: int, k: int, rotate: bool, rng) -> np.ndarray:
     optionally pushed through one random rotation drawn first."""
     q = _random_orthogonal(p, rng) if rotate else None
     x = np.zeros((n, p))
-    x[:, :k] = _uniform_rows(n, k, rng)
+    x[:, :k] = _unit_normals(rng.standard_normal((1, n, k)), [rng])[0]
     return x if q is None else x @ q.T
 
 
@@ -399,32 +405,37 @@ def sample(model: ModelSpec, n: int, seed) -> UnitPointSet:
     """n i.i.d. draws from `model`, wrapped as a UnitPointSet."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    return make_unit_point_set(_draw_rows(model, n, _as_rng(seed)), normalize=True)
+    x = _draw_block(model, n, [_as_rng(seed)], np.empty((1, n, model.p)))
+    return _own_unit_point_set(x[0], normalize=True)
 
 
-def _draw_rows(model: ModelSpec, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
-    """`sample`'s n rows from `model`, before `make_unit_point_set`
-    normalises them, drawn from `rng`; written into `out` (n, p) when
-    given, and the same floats either way."""
+def _draw_block(model: ModelSpec, n: int, rngs, out: np.ndarray, normals=None) -> np.ndarray:
+    """Fill `out` (B, n, p) with B = len(rngs) samples of n rows from
+    `model`: the rows `sample` draws, before it normalises them.
+
+    Sample k draws from rngs[k] alone, with the calls and in the order of
+    a block of one, and every transform after the draws runs once over
+    the whole block, elementwise or row by row.  So sample k is the same
+    floats whatever B is and whichever samples share its block.  A tilt
+    draws its tangent normals into `normals` (B, n, p - 1) when given,
+    and into a fresh array otherwise; LowRank, AlphaSpherical and
+    CapMixture fill each out[k] from their per-sample samplers.
+    """
     if isinstance(model, Uniform):
-        return _uniform_rows(n, model.p, rng, out)
+        for rng, x in zip(rngs, out):
+            rng.standard_normal(out=x)
+        return _unit_normals(out, rngs)
     if isinstance(model, _Tilt):
-        return _tangent_normal_rows(model, n, rng, out)
-    if isinstance(model, LowRank):
-        rows = _lowrank_rows(n, model.p, model.k, model.rotate, rng)
-    elif isinstance(model, AlphaSpherical):
-        rows = _alpha_spherical_rows(n, model.p, model.alpha, rng)
-    elif isinstance(model, CapMixture):
-        rows = _cap_rows(n, model.p, model.eps, rng, _cached_frame(model.p))
-    else:
-        raise DomainError(f"unknown model spec: {model!r}")
-    if out is None:
-        return rows
-    out[...] = rows
+        if normals is None:
+            normals = np.empty(out.shape[:-1] + (model.p - 1,))
+        return _tangent_normal_block(model, rngs, out, normals)
+    for rng, x in zip(rngs, out):
+        if isinstance(model, LowRank):
+            x[...] = _lowrank_rows(n, model.p, model.k, model.rotate, rng)
+        elif isinstance(model, AlphaSpherical):
+            x[...] = _alpha_spherical_rows(n, model.p, model.alpha, rng)
+        elif isinstance(model, CapMixture):
+            x[...] = _cap_rows(n, model.p, model.eps, rng, _cached_frame(model.p))
+        else:
+            raise DomainError(f"unknown model spec: {model!r}")
     return out
-
-
-def _e1(p: int) -> np.ndarray:
-    mu = np.zeros(p)
-    mu[0] = 1.0
-    return mu

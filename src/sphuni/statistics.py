@@ -21,7 +21,7 @@ from .distributions import (
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
 from .points import InnerProductList, UnitPointSet, _row_norms, _sorted_pairs
-from .samplers import RngSeed, Uniform, _draw_rows, _master, sample_uniform_direction
+from .samplers import RngSeed, Uniform, _draw_block, _master, sample_uniform_direction
 
 SUP_DISTANCE = "sup_distance"
 RAYLEIGH = "rayleigh"
@@ -214,12 +214,15 @@ def _replicate(
 ) -> dict[str, np.ndarray]:
     """Each of `methods` on `reps` samples of n points from `model`.
 
-    Replication r draws its rows, and then projection's direction, from
-    `rng_of(r)` alone.  Replications are scored in blocks of B: each
-    draws into its slice of a (B, n, p) workspace, allocated once per
-    call and per worker thread, and then the block is normalised in place
-    and runs one stacked Gram, gather and sort, and one call of each
-    statistic over its B rows.  Every statistic is the float that
+    Replications are scored in blocks of B, in a workspace allocated
+    once per call and per worker thread: the (B, n, p) rows, a tilt's
+    (B, n, p - 1) tangent normals, the (B, n, n) Gram, the sorted values
+    and the projection directions.  `_draw_block` draws replication r of
+    a block from `rng_of(r)` alone; then a second loop over the block's
+    generators draws projection's directions, so each generator is
+    called in the order of a one-sample pass.  The block is normalised
+    in place and runs one stacked Gram, gather and sort, and one call of
+    each statistic over its B rows.  Every statistic is the float that
     `sample` and the `statistic_*` functions give for that replication,
     so the result depends neither on B nor on `threads`; with
     `threads > 1` a thread pool scores the blocks.
@@ -237,16 +240,17 @@ def _replicate(
             g = n if pairwise else 0  # projection alone needs no Gram
             local.workspace = (
                 np.empty((size, n, p)),
+                np.empty((size, n, p - 1)),
                 np.empty((size, g, g)),
                 np.empty((size, g * (g - 1) // 2)),
                 np.empty((size, p)),
             )
         b = min(size, reps - start)
-        x, gram, values, directions = (a[:b] for a in local.workspace)
-        for k in range(b):
-            rng = rng_of(start + k)
-            _draw_rows(model, n, rng, x[k])
-            if PROJECTION in methods:
+        x, normals, gram, values, directions = (a[:b] for a in local.workspace)
+        rngs = [rng_of(start + k) for k in range(b)]
+        _draw_block(model, n, rngs, x, normals)
+        if PROJECTION in methods:
+            for k, rng in enumerate(rngs):
                 directions[k] = sample_uniform_direction(p, rng)
         x /= _row_norms(x)[..., None]
         if pairwise:
@@ -501,6 +505,8 @@ def _null_statistics(
     its pass.
     """
     master = _mc_master(reps, seed)
+    if threads < 1:
+        raise DomainError(f"threads: need >= 1, got {threads}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DomainError(f"unknown method {unknown[0]!r}; choose from {METHODS}")

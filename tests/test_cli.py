@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +269,21 @@ def test_cmd_nonlocal_smoke(capsys):
     for key in ("rate_sup_distance=", "rate_rayleigh=", "rate_bingham=",
                 "rate_packing=", "mean_abs_rayleigh=", "share_bingham_negative="):
         assert key in out
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["size", "--n", "10", "--p", "10", "--reps", "100"],
+    ["nulldist", "--n", "10", "--p", "10", "--reps", "100"],
+    ["nonlocal", "--kind", "alphaspherical", "--n", "10", "--p", "20", "--reps", "10"],
+    ["power", "--config", str(Path(__file__).resolve().parents[1] / "configs/fvml_fig1.json")],
+], ids=["size", "nulldist", "nonlocal", "power"])
+def test_cmd_threads_below_one_exits_1(argv, threads, capsys):
+    rc = main(argv + ["--threads", threads])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"field threads: need >= 1, got {threads}" in captured.err
+    assert captured.out == ""
 
 
 def test_cmd_missing_file_is_io_error(tmp_path, capsys):

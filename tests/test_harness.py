@@ -245,6 +245,22 @@ def test_power_curve_rejects_nonlocal_families():
         run_power_curve(_cfg(model_family="capmixture", signal_grid=(1.0,), p=2000))
 
 
+@pytest.mark.parametrize("threads", [0, -2])
+def test_experiments_reject_threads_below_one(threads, tmp_path):
+    # checked before any work: no curve, no CSV
+    out = tmp_path / "curve.csv"
+    match = f"field threads: need >= 1, got {threads}"
+    with pytest.raises(ConfigError, match=match):
+        run_power_curve(_cfg(output_path=str(out)), threads=threads)
+    with pytest.raises(ConfigError, match=match):
+        run_size_experiment(_cfg(model_family="uniform", signal_grid=(0.0,)), threads=threads)
+    with pytest.raises(ConfigError, match=match):
+        run_null_distribution_check(20, 20, 100, seed=5, threads=threads)
+    with pytest.raises(ConfigError, match=match):
+        run_nonlocal_experiment("alphaspherical", 10, 20, 0.05, 10, seed=1, threads=threads)
+    assert not out.exists()
+
+
 def test_power_curve_csv_identical_across_threads(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg1 = _cfg(reps=120, output_path=str(p1))

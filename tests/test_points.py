@@ -16,6 +16,7 @@ from sphuni import (
     make_unit_point_set,
     pairwise_inner_products,
 )
+from sphuni import points
 from sphuni.points import _sorted_pairs
 
 
@@ -36,6 +37,51 @@ def test_normalize_leaves_the_callers_array_alone():
     s = make_unit_point_set(a, normalize=True)
     np.testing.assert_array_equal(a, before)
     assert a.flags.writeable and not np.shares_memory(s.data, a)
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-sliced", "reversed-rows"])
+def test_make_unit_point_set_layouts_give_the_allocating_formula(layout):
+    # the norms of a C-contiguous array go through a scratch buffer; a
+    # Fortran-ordered array sums its squares in another order, so it keeps
+    # np.linalg.norm, and every layout gives the floats of arr / norm
+    base = np.random.default_rng(8).standard_normal((50, 601))
+    arr = {
+        "fortran": np.asfortranarray(base[:, :300]),
+        "column-sliced": base[:, ::2],
+        "reversed-rows": base[::-1],
+    }[layout]
+    want = arr / np.linalg.norm(arr, axis=1)[:, None]
+    s = make_unit_point_set(arr, normalize=True)
+    assert np.array_equal(s.data, want)
+    assert s.data.flags.f_contiguous == want.flags.f_contiguous
+    assert not s.data.flags.writeable
+
+
+def test_row_norms_equal_linalg_norm_without_squares():
+    # every row's squares are summed along the row whichever rows share a
+    # chunk of the scratch buffer; a warm call allocates no array of squares
+    x = np.random.default_rng(9).standard_normal((3, 400, 600))
+    assert np.array_equal(points._norms(x), np.linalg.norm(x, axis=-1))
+    for p in (2, 9, 17, 1 << 15):
+        y = np.random.default_rng(p).standard_normal((5, p))
+        assert np.array_equal(points._norms(y), np.linalg.norm(y, axis=-1)), p
+    tracemalloc.start()
+    try:
+        points._row_norms(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * points._NORM_SCRATCH, peak
+
+
+def test_row_norms_checks_survive_the_scratch_buffer():
+    big = np.full((3, 4), 1e200)  # finite, but its squares overflow
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(points._row_norms(big)))
+    bad = np.ones((2, 3, 4))
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(BadShapeError, match="row 2"):
+        points._row_norms(bad)
 
 
 def test_zero_row_rejected():

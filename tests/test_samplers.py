@@ -21,11 +21,16 @@ from sphuni import (
     sample_uniform_direction,
     watson_marginal,
 )
-from sphuni.samplers import _cap_rows, _draw_rows, _marginal_table
+from sphuni.samplers import _cap_rows, _draw_block, _marginal_table
 
 
 def _null_cdf_callable(p):
     return lambda t: null_inner_cdf(np.clip(t, -1, 1), p)
+
+
+def _draw_rows(model, n, rng):
+    """`sample`'s n rows from `model`, before it normalises them: a block of one."""
+    return _draw_block(model, n, [rng], np.empty((1, n, model.p)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +77,50 @@ def test_sample_streams_unchanged():
     assert got == _STREAM_DIGESTS
     ip = pairwise_inner_products(sample(Fvml(25, 6.0), 40, RngSeed(2024, 3)))
     assert _digest(ip.values) == _PAIRWISE_DIGEST
+
+
+def _unit_mu(p, seed, first_sign):
+    """A unit mean direction whose first coordinate has the sign `first_sign`,
+    which picks the tilt's Householder reflection."""
+    mu = np.random.default_rng(seed).standard_normal(p)
+    mu[0] = first_sign * abs(mu[0])
+    return mu / np.linalg.norm(mu)
+
+
+_BLOCK_MODELS = [
+    Uniform(30),
+    Fvml(30, 6.0),
+    Watson(30, 8.0),
+    Fvml(30, 6.0, _unit_mu(30, 1, 1.0)),
+    Watson(30, 8.0, _unit_mu(30, 2, -1.0)),  # mu[0] < 0: the other reflection
+    LowRank(30, 5, rotate=True),
+    AlphaSpherical(30, 1.2),
+    CapMixture(30),
+]
+
+
+@pytest.mark.parametrize("model", _BLOCK_MODELS,
+                         ids=["uniform", "fvml", "watson", "fvml-mu", "watson-mu-negative",
+                              "lowrank", "alphaspherical", "capmixture"])
+def test_draw_block_equals_blocks_of_one(model):
+    # sample k of a block is a block of one bit for bit, and leaves its
+    # generator where a block of one does: the next projection direction
+    # drawn from it is the same too
+    b, n, p = 4, 17, model.p
+    rngs = [RngSeed(31, k).generator() for k in range(b)]
+    block = _draw_block(model, n, rngs, np.empty((b, n, p)), np.empty((b, n, p - 1)))
+    for k, rng in enumerate(rngs):
+        one = RngSeed(31, k).generator()
+        assert np.array_equal(block[k], _draw_rows(model, n, one)), k
+        assert np.array_equal(sample_uniform_direction(p, rng),
+                              sample_uniform_direction(p, one)), k
+
+
+def test_sample_normalises_its_own_block_in_place():
+    s = sample(Watson(30, 8.0), 20, RngSeed(4))
+    rows = _draw_rows(Watson(30, 8.0), 20, RngSeed(4).generator())
+    assert np.array_equal(s.data, rows / np.linalg.norm(rows, axis=1)[:, None])
+    assert not s.data.flags.writeable
 
 
 def test_sample_requires_two_points():

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent import futures
 
 import numpy as np
@@ -52,6 +53,7 @@ from sphuni.statistics import (
     _sup_null_rows,
     p_values,
 )
+from test_samplers import _unit_mu
 
 
 def _rand_sample(n, p, seed):
@@ -646,8 +648,11 @@ def _replicate_one_by_one(model, n, methods, reps, rng_of):
         (LowRank(100, 10, rotate=True), 64),
         (CapMixture(100), 64),
         (AlphaSpherical(100, 1.0), 64),
+        (Fvml(100, 3.0, _unit_mu(100, 5, 1.0)), 64),
+        (Watson(100, 10.0, _unit_mu(100, 6, -1.0)), 64),
     ],
-    ids=["uniform", "fvml", "watson", "lowrank", "capmixture", "alphaspherical"],
+    ids=["uniform", "fvml", "watson", "lowrank", "capmixture", "alphaspherical",
+         "fvml-mu", "watson-mu-negative"],
 )
 def test_replicate_equals_per_sample_loop(model, n, threads):
     # B replications share a block; reps cover one, a partial and several blocks
@@ -662,6 +667,32 @@ def test_replicate_equals_per_sample_loop(model, n, threads):
         assert list(got) == list(METHODS)
         for m in METHODS:
             assert np.array_equal(got[m], want[m]), (reps, m)
+
+
+def test_replicate_block_of_one_allocates_no_sample_sized_temporary():
+    # at n = 400, p = 600 a block holds one replication; its workspace is
+    # allocated once per call, and the draw, normalisation and statistics
+    # allocate nothing as large as one n x p array besides
+    model, n, p = Watson(600, 190.19), 400, 600
+    methods = ("sup_distance", "rayleigh", "bingham")
+    def rng_of(r):
+        return RngSeed(3, r).generator()
+
+    _replicate(model, n, methods, 1, rng_of)  # fill the lru caches
+    workspace = 8 * (n * p + n * (p - 1) + n * n + n * (n - 1) // 2 + p + len(methods))
+    tracemalloc.start()
+    try:
+        _replicate(model, n, methods, 1, rng_of)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - workspace < 8 * n * p, (peak, workspace)
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_null_statistics_rejects_threads_below_one(threads):
+    with pytest.raises(DomainError, match=f"threads: need >= 1, got {threads}"):
+        _null_statistics(10, 6, ("rayleigh",), 100, 1, threads)
 
 
 def test_null_statistics_rejects_seed_stream():
