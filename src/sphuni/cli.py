@@ -22,6 +22,7 @@ from .asymptotics import (
     estimate_distance_mc,
     predict_asymptotic_power,
 )
+from .distributions import _CPUS
 from .errors import SphuniError
 from .harness import (
     ExperimentConfig,
@@ -63,8 +64,9 @@ def _build_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=None,
                        help=f"master RNG seed (default: {seed_default})")
         if threads:
-            p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                           help="worker threads for Monte Carlo replications")
+            p.add_argument("--threads", type=int, default=_CPUS,
+                           help="worker threads for Monte Carlo replications "
+                                "(default: the CPUs of the affinity mask)")
         if out:
             p.add_argument("--out", default=None, help="optional CSV output path")
 

@@ -27,15 +27,17 @@ _CLAMP_SLACK = 1e-12
 # beta / null inner-product CDF
 
 
+# the CPUs this process may run on: its affinity mask where the platform
+# has one, which `taskset` or a container's cpuset narrows below cpu_count()
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
 # an evaluation of at least this many values is split across _CDF_WORKERS
-# threads; below it one slice costs less than starting a pool.  Every
-# evaluation on the power and test-request paths (the sup kernel's few
-# values per row, the 16,385 knots of _null_cdf_table, which also run in
-# _replicate's worker threads) stays below it, so no pools nest
+# threads, one per CPU; below it one slice costs less than starting a pool.
+# Every evaluation on the power and test-request paths (the sup kernel's
+# few values per row, the 16,385 knots of _null_cdf_table, which also run
+# in _replicate's worker threads) stays below it, so no pools nest
 _CDF_SPLIT = 1 << 16
-_CDF_WORKERS = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
+_CDF_WORKERS = _CPUS
 
 
 def null_inner_cdf(t, p: int):

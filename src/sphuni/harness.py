@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -60,6 +61,11 @@ class ExperimentConfig:
             raise ConfigError(f"field reps: need >= 100, got {self.reps}")
         if self.model_family not in _FAMILIES:
             raise ConfigError(f"field model_family: unknown family {self.model_family!r}")
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
+                   for t in self.signal_grid):
+            raise ConfigError(
+                f"field signal_grid: every entry must be a number, got {self.signal_grid!r}"
+            )
         grid = tuple(float(t) for t in self.signal_grid)
         if not grid:
             raise ConfigError("field signal_grid: must be nonempty")
@@ -134,8 +140,14 @@ def load_config(path) -> ExperimentConfig:
         want = _CONFIG_FIELDS.get(key)
         if want is None:
             raise ParseError(f"{path}: unknown field {key!r}")
-        if not isinstance(val, want if isinstance(want, tuple) else (want,)):
+        # no field is a bool, and JSON's true and false would pass for the ints 1 and 0
+        want = want if isinstance(want, tuple) else (want,)
+        if isinstance(val, bool) or not isinstance(val, want):
             raise ParseError(f"{path}: field {key!r} has wrong type {type(val).__name__}")
+    for x in raw["signal_grid"]:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError(f"{path}: field 'signal_grid' has an entry {json.dumps(x)} "
+                             "that is not a number")
     kwargs = {k: raw[k] for k in raw}
     kwargs["signal_grid"] = tuple(float(x) for x in raw["signal_grid"])
     kwargs["methods"] = tuple(raw["methods"])

@@ -17,7 +17,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .distributions import CoordinateMarginal, _marginal
 from .errors import DomainError
-from .points import UnitPointSet, _norms, _own_unit_point_set
+from .points import _NORM_SCRATCH, UnitPointSet, _norms, _own_unit_point_set
 
 __all__ = [
     "Uniform",
@@ -154,9 +154,7 @@ def _master(seed, error, field: str) -> int:
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, RngSeed):
-        return seed.generator()
-    return RngSeed(int(seed)).generator()
+    return (seed if isinstance(seed, RngSeed) else RngSeed(int(seed))).generator()
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +172,7 @@ class InverseCdfTable:
     """
 
     def __init__(self, logpdf, lo: float, hi: float):
-        knots = self._build_knots(logpdf, lo, hi, _TABLE_TOL)
-        t, cdf = knots
+        t, cdf = self._build_knots(logpdf, lo, hi, _TABLE_TOL)
         self._inv = PchipInterpolator(cdf, t, extrapolate=False)
         self.lo, self.hi = lo, hi
         self.knots = t
@@ -317,32 +314,39 @@ def _tangent_normal_block(model: _Tilt, rngs, out: np.ndarray, normals) -> np.nd
     return out
 
 
-def _lowrank_rows(n: int, p: int, k: int, rotate: bool, rng) -> np.ndarray:
+def _lowrank_block(model: LowRank, rngs, out: np.ndarray) -> np.ndarray:
     """Uniform draws on the k-sphere embedded in the first k coordinates,
-    optionally pushed through one random rotation drawn first."""
-    q = _random_orthogonal(p, rng) if rotate else None
-    x = np.zeros((n, p))
-    x[:, :k] = _unit_normals(rng.standard_normal((1, n, k)), [rng])[0]
-    return x if q is None else x @ q.T
+    sample j into out[j] from rngs[j], optionally pushed through one
+    random rotation that sample j draws first."""
+    _, n, p = out.shape
+    normals, rows = np.empty((1, n, model.k)), np.zeros((n, p))
+    for rng, x in zip(rngs, out):
+        if model.rotate:
+            q, r = np.linalg.qr(rng.standard_normal((p, p)))
+            q *= np.sign(np.diag(r))
+        rng.standard_normal(out=normals[0])
+        rows[:, : model.k] = _unit_normals(normals, [rng])[0]
+        if model.rotate:
+            np.matmul(rows, q.T, out=x)
+        else:
+            x[...] = rows
+    return out
 
 
-def _random_orthogonal(p: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((p, p)))
-    return q * np.sign(np.diag(r))[None, :]
-
-
-def _alpha_spherical_rows(n: int, p: int, alpha: float, rng) -> np.ndarray:
-    """Normalized vectors of i.i.d. symmetric Pareto(alpha) coordinates.
-
-    |coordinate| = V^{-1/alpha} with V uniform, so the tail index is
-    exactly alpha; signs are independent Rademacher.
-    """
-    v = rng.random((n, p))
-    v = np.maximum(v, 1e-300)
-    mag = v ** (-1.0 / alpha)
-    sign = np.where(rng.random((n, p)) < 0.5, -1.0, 1.0)
-    x = sign * mag
-    return x / np.linalg.norm(x, axis=1, keepdims=True)
+def _alpha_block(model: AlphaSpherical, rngs, out: np.ndarray) -> np.ndarray:
+    """Normalized vectors of i.i.d. symmetric Pareto(alpha) coordinates,
+    sample j into out[j] from rngs[j]: |coordinate| = V^{-1/alpha} with V
+    uniform, so the tail index is exactly alpha, and independent Rademacher
+    signs, whose uniforms pass through a small buffer in one stream."""
+    u = np.empty(min(_NORM_SCRATCH, out[0].size))
+    for rng, x in zip(rngs, out):
+        x = rng.random(out=x).reshape(-1)
+        np.power(np.maximum(x, 1e-300, out=x), -1.0 / model.alpha, out=x)
+        for i in range(0, len(x), len(u)):
+            part, ui = x[i : i + len(u)], rng.random(out=u[: len(x) - i])
+            np.negative(part, out=part, where=ui < 0.5)
+    out /= _norms(out)[..., None]
+    return out
 
 
 def build_simplex_frame(p: int) -> np.ndarray:
@@ -375,25 +379,31 @@ def _cached_frame(p: int) -> np.ndarray:
     return frame
 
 
-def _cap_rows(n: int, p: int, eps: float, rng, frame: np.ndarray) -> np.ndarray:
+def _cap_block(eps: float, rngs, out: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Draws from the equal-weight mixture of uniform caps of angular
-    radius eps centered on the p + 1 rows of `frame`; a model's draw
-    passes its simplex frame."""
-    labels = rng.integers(0, p + 1, size=n)
-    tbl = _cap_angle_table(p, float(eps))
-    w = np.asarray(tbl(rng.random(n)))
-    theta = eps * np.maximum(w, 1e-300) ** (1.0 / (p - 1))
-    out = np.empty((n, p))
-    block = max(1, min(n, (1 << 22) // p))
-    for b0 in range(0, n, block):
-        b1 = min(n, b0 + block)
-        mus = frame[labels[b0:b1]]
-        g = rng.standard_normal((b1 - b0, p))
-        g -= np.sum(g * mus, axis=1, keepdims=True) * mus
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        th = theta[b0:b1, None]
-        out[b0:b1] = np.cos(th) * mus + np.sin(th) * g
-    out /= np.linalg.norm(out, axis=1, keepdims=True)
+    radius eps centered on the p + 1 rows of `frame`, sample j into out[j]
+    from rngs[j]; a model's draw passes its simplex frame.  Each row starts
+    as normals g and becomes cos(theta) mu + sin(theta) g', mu its center
+    and g' the unit part of g orthogonal to mu, a few rows at a time."""
+    _, n, p = out.shape
+    tbl, step = _cap_angle_table(p, float(eps)), max(1, _NORM_SCRATCH // p)
+    scratch = np.empty((2, min(step, n), p))
+    for rng, x in zip(rngs, out):
+        labels = rng.integers(0, p + 1, size=n)
+        theta = eps * np.maximum(tbl(rng.random(n)), 1e-300) ** (1.0 / (p - 1))
+        cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+        rng.standard_normal(out=x)
+        for b0 in range(0, n, step):
+            g, at = x[b0 : b0 + step], slice(b0, b0 + step)
+            mus, proj = scratch[:, : len(g)]
+            # "clip" lets take write into mus unbuffered; every label is in range
+            np.take(frame, labels[at], axis=0, out=mus, mode="clip")
+            dots = np.add.reduce(np.multiply(g, mus, out=proj), axis=1)
+            g -= np.multiply(mus, dots[:, None], out=proj)
+            g /= _norms(g)[:, None]
+            g *= sin[at]
+            g += np.multiply(mus, cos[at], out=mus)
+            g /= _norms(g)[:, None]
     return out
 
 
@@ -413,29 +423,24 @@ def _draw_block(model: ModelSpec, n: int, rngs, out: np.ndarray, normals=None) -
     """Fill `out` (B, n, p) with B = len(rngs) samples of n rows from
     `model`: the rows `sample` draws, before it normalises them.
 
-    Sample k draws from rngs[k] alone, with the calls and in the order of
-    a block of one, and every transform after the draws runs once over
-    the whole block, elementwise or row by row.  So sample k is the same
-    floats whatever B is and whichever samples share its block.  A tilt
-    draws its tangent normals into `normals` (B, n, p - 1) when given,
-    and into a fresh array otherwise; LowRank, AlphaSpherical and
-    CapMixture fill each out[k] from their per-sample samplers.
+    Sample k is written into out[k] from rngs[k] alone, with the calls
+    and in the order of a block of one, and every transform after the
+    draws runs in place on the block, elementwise or row by row.  So
+    sample k is the same floats whatever B is and whichever samples
+    share its block.  A tilt draws its tangent normals into `normals`
+    (B, n, p - 1) when given, and into a fresh array otherwise.
     """
     if isinstance(model, Uniform):
         for rng, x in zip(rngs, out):
             rng.standard_normal(out=x)
         return _unit_normals(out, rngs)
     if isinstance(model, _Tilt):
-        if normals is None:
-            normals = np.empty(out.shape[:-1] + (model.p - 1,))
+        normals = np.empty(out.shape[:-1] + (model.p - 1,)) if normals is None else normals
         return _tangent_normal_block(model, rngs, out, normals)
-    for rng, x in zip(rngs, out):
-        if isinstance(model, LowRank):
-            x[...] = _lowrank_rows(n, model.p, model.k, model.rotate, rng)
-        elif isinstance(model, AlphaSpherical):
-            x[...] = _alpha_spherical_rows(n, model.p, model.alpha, rng)
-        elif isinstance(model, CapMixture):
-            x[...] = _cap_rows(n, model.p, model.eps, rng, _cached_frame(model.p))
-        else:
-            raise DomainError(f"unknown model spec: {model!r}")
-    return out
+    if isinstance(model, LowRank):
+        return _lowrank_block(model, rngs, out)
+    if isinstance(model, AlphaSpherical):
+        return _alpha_block(model, rngs, out)
+    if isinstance(model, CapMixture):
+        return _cap_block(model.eps, rngs, out, _cached_frame(model.p))
+    raise DomainError(f"unknown model spec: {model!r}")

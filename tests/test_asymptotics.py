@@ -365,6 +365,14 @@ def test_mc_distance_alpha_spherical_large():
     assert d >= 0.3  # limit is 1 - Phi(1/2) = 0.3085
 
 
+def test_mc_distance_pinned_alpha_spherical_and_cap_mixture():
+    # recorded before these samplers drew in place; every draw keeps its floats
+    assert repr(estimate_distance_mc(AlphaSpherical(50, 1.0), 10**4, RngSeed(11))) == (
+        "0.1397570982923115"
+    )
+    assert repr(estimate_distance_mc(CapMixture(50), 10**4, RngSeed(11))) == "0.5283436047538226"
+
+
 def test_mc_distance_needs_enough_pairs():
     with pytest.raises(DomainError):
         estimate_distance_mc(Uniform(10), 100, RngSeed(0))

@@ -1,11 +1,12 @@
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sphuni import RngSeed, Uniform, load_points_csv, run_test, sample, statistics
-from sphuni.cli import main
+from sphuni.cli import _build_parser, main
 
 
 def _write_sample_csv(path, n=30, p=20, seed=1):
@@ -259,6 +260,46 @@ def test_cmd_seed_defaults_to_sphuni_seed_except_power(tmp_path, monkeypatch, ca
     cfg_path.write_text(json.dumps(cfg))
     assert main(["power", "--config", str(cfg_path), "--threads", "1"]) == 0
     assert " seed=21 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("signal_grid", ["x", 1.0]),
+    ("signal_grid", [None]),
+    ("signal_grid", ["1.5"]),
+    ("signal_grid", [True, 2.0]),
+    ("seed", True),
+    ("reps", False),
+], ids=["grid-string", "grid-null", "grid-numeric-string", "grid-bool", "seed-bool", "reps-bool"])
+def test_cmd_power_config_value_not_a_number_exits_1(tmp_path, capsys, field, value):
+    # a string or null in the grid died with a traceback, and "1.5", true
+    # and "seed": true ran as 1.5, 1 and seed=True
+    cfg = {
+        "n": 10, "p": 10, "alpha": 0.05, "reps": 100,
+        "model_family": "lowrank", "signal_grid": [4.0],
+        "methods": ["rayleigh"], "seed": 21,
+    }
+    cfg[field] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["power", "--config", str(cfg_path), "--threads", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert f"field '{field}'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
+@pytest.mark.parametrize("command", [
+    ["size", "--n", "10", "--p", "10"],
+    ["power", "--config", "cfg.json"],
+    ["nulldist", "--n", "10", "--p", "10"],
+    ["nonlocal", "--kind", "capmixture", "--n", "10", "--p", "10"],
+])
+def test_threads_default_is_the_affinity_mask(command):
+    # the CPUs this process may run on, which null_inner_cdf splits its
+    # work over, and not cpu_count(), which counts CPUs outside the mask
+    args = _build_parser().parse_args(command)
+    assert args.threads == len(os.sched_getaffinity(0))
 
 
 def test_cmd_nonlocal_smoke(capsys):

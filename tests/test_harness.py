@@ -93,6 +93,35 @@ def test_config_wrong_type_names_field(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("signal_grid", ["x", 1.0]),
+    ("signal_grid", [None]),
+    ("signal_grid", ["1.5"]),
+    ("signal_grid", [True, 2.0]),
+    ("n", True),
+    ("p", True),
+    ("reps", False),
+    ("seed", True),
+    ("alpha", True),
+])
+def test_config_entry_not_a_json_number_names_field(tmp_path, field, value):
+    # float() and the int check let these through: "1.5" and true ran as
+    # 1.5 and 1, and a string or null in the grid raised ValueError or TypeError
+    cfg = json.loads(_cfg().to_json())
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ParseError, match=f"field '{field}'"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("grid", [("x", 1.0), (None,), ("1.5",), (True, 2.0)])
+def test_config_signal_grid_entries_must_be_numbers(grid):
+    with pytest.raises(ConfigError, match="field signal_grid: "):
+        _cfg(signal_grid=grid)
+    assert _cfg(signal_grid=(1, np.float64(2.5))).signal_grid == (1.0, 2.5)
+
+
 def test_config_json_fields_are_the_dataclass_fields():
     assert list(_CONFIG_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
 

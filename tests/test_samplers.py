@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from sphuni import (
     sample_uniform_direction,
     watson_marginal,
 )
-from sphuni.samplers import _cap_rows, _draw_block, _marginal_table
+from sphuni.samplers import _cap_block, _draw_block, _marginal_table
 
 
 def _null_cdf_callable(p):
@@ -94,6 +95,7 @@ _BLOCK_MODELS = [
     Fvml(30, 6.0, _unit_mu(30, 1, 1.0)),
     Watson(30, 8.0, _unit_mu(30, 2, -1.0)),  # mu[0] < 0: the other reflection
     LowRank(30, 5, rotate=True),
+    LowRank(30, 5),
     AlphaSpherical(30, 1.2),
     CapMixture(30),
 ]
@@ -101,7 +103,7 @@ _BLOCK_MODELS = [
 
 @pytest.mark.parametrize("model", _BLOCK_MODELS,
                          ids=["uniform", "fvml", "watson", "fvml-mu", "watson-mu-negative",
-                              "lowrank", "alphaspherical", "capmixture"])
+                              "lowrank", "lowrank-unrotated", "alphaspherical", "capmixture"])
 def test_draw_block_equals_blocks_of_one(model):
     # sample k of a block is a block of one bit for bit, and leaves its
     # generator where a block of one does: the next projection direction
@@ -114,6 +116,24 @@ def test_draw_block_equals_blocks_of_one(model):
         assert np.array_equal(block[k], _draw_rows(model, n, one)), k
         assert np.array_equal(sample_uniform_direction(p, rng),
                               sample_uniform_direction(p, one)), k
+
+
+@pytest.mark.parametrize("model", [AlphaSpherical(600, 1.0), CapMixture(600)],
+                         ids=["alphaspherical", "capmixture"])
+def test_draw_block_allocates_less_than_one_sample(model):
+    # the draws go straight into the block and the transforms run on it
+    # in place: besides `out`, a block of one allocates less than one
+    # n x p array (1.92 MB at n = 400, p = 600)
+    n, p = 400, model.p
+    out = np.empty((1, n, p))
+    _draw_block(model, n, [RngSeed(5).generator()], out)  # fill the lru caches
+    tracemalloc.start()
+    try:
+        _draw_block(model, n, [RngSeed(6).generator()], out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * p, peak
 
 
 def test_sample_normalises_its_own_block_in_place():
@@ -354,7 +374,7 @@ def test_cap_mixture_geometry():
     p = 50
     eps = 1.0 / (4.0 * p)
     frame = build_simplex_frame(p)
-    xs = _cap_rows(2000, p, eps, RngSeed(73).generator(), frame)
+    xs = _cap_block(eps, [RngSeed(73).generator()], np.empty((1, 2000, p)), frame)[0]
     # recover labels: caps are far narrower than the frame separation
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
@@ -379,7 +399,7 @@ def test_cap_mixture_moderate_width():
     # wider caps exercise the non-flat part of the rim density
     p, eps = 120, 0.3
     frame = build_simplex_frame(p)
-    xs = _cap_rows(1000, p, eps, RngSeed(83).generator(), frame)
+    xs = _cap_block(eps, [RngSeed(83).generator()], np.empty((1, 1000, p)), frame)[0]
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
     assert np.all(np.arccos(np.clip(align, -1, 1)) <= eps * (1 + 1e-12))

@@ -42,7 +42,7 @@ from sphuni import (
     sup_null_distance,
 )
 from sphuni.distributions import _null_cdf_table
-from sphuni.samplers import _cap_rows
+from sphuni.samplers import _cap_block
 from sphuni.statistics import (
     _STAT_FUNCS,
     METHODS,
@@ -219,7 +219,7 @@ def test_sup_null_distance_cap_mixture_near_one(p, eps):
     frame = np.zeros((p + 1, p))
     frame[:, 0] = 1.0
     for n in (30, 150, 400):
-        rows = _cap_rows(n, p, eps, RngSeed(n).generator(), frame)
+        rows = _cap_block(eps, [RngSeed(n).generator()], np.empty((1, n, p)), frame)[0]
         v = pairwise_inner_products(make_unit_point_set(rows)).values
         got = sup_null_distance(v, p)
         assert got == _full(v, p)
@@ -265,7 +265,7 @@ def _row_kernel_rows(count, p, rng):
     frame[:, 0] = 1.0
     data = sample(Uniform(p), n, RngSeed(count)).data
     for rows in (
-        _cap_rows(n, p, 0.05, RngSeed(count, 1).generator(), frame),  # every value near 1
+        _cap_block(0.05, [RngSeed(count, 1).generator()], np.empty((1, n, p)), frame)[0],  # every value near 1
         np.vstack([data[: n // 2 + 1], data[: n // 2 + 1]])[:n],  # every row twice
     ):
         v = pairwise_inner_products(make_unit_point_set(rows)).values
