@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .distributions import (
     _marginal,
@@ -338,6 +338,8 @@ def fvml_llr_second_moment(n: int, p: int, kappa: float) -> float:
         lc = fvml_log_normalizer(kappa * math.sqrt(2.0 * (1.0 + u)), p)
         logdens = lconst + 0.5 * (p - 3) * math.log1p(-u * u) if abs(u) < 1.0 else -math.inf
         return math.exp(n * (2.0 * lck - lc) + logdens - shift)
+
+    from scipy import integrate  # loaded by this check, not by import
 
     val, _ = integrate.quad(
         g, -1.0, 1.0, points=[peak], limit=400, epsabs=1e-13, epsrel=1e-9

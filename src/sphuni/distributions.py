@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import os
 from concurrent import futures
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError
 
@@ -206,6 +206,8 @@ def log_quad(logf, lo: float, hi: float, inner_points=()) -> float:
     integrand to an adaptive Gauss-Kronrod rule; `inner_points` should
     list density modes so concentrated peaks are not missed.
     """
+    from scipy import integrate  # loaded by the first quadrature, not by import
+
     pts = [x for x in inner_points if lo < x < hi]
     probe = np.unique(np.concatenate([np.linspace(lo, hi, 257), np.asarray(pts, float)]))
     shift = float(np.max(logf(probe)))
@@ -291,14 +293,20 @@ class CoordinateMarginal:
     power=1 is the FvML marginal, power=2 the Watson marginal and
     kappa=0 the null coordinate law.  Provides the normalized
     log-density, the tilt normalizer E_0[exp(kappa T^power)], and
-    moments E[T^k] for k <= 8, all by adaptive quadrature.
+    moments E[T^k] for k <= 8, all by adaptive quadrature.  The
+    normalizing integral is computed on the first call that needs it;
+    `log_unnorm` and `window`, which are all that an inverse-CDF table
+    and the quadrature pair grid read, run no quadrature.
     """
 
     p: int
     kappa: float
     power: int
-    _log_integral: float = field(repr=False)
-    _modes: tuple[float, ...] = field(repr=False)
+
+    @cached_property
+    def _log_integral(self) -> float:
+        # kappa = 0 is one law at either power, and both read its power-2 integral
+        return _log_norm_integral(self.kappa, self.power if self.kappa != 0.0 else 2, self.p)
 
     def logpdf(self, t):
         return self.log_unnorm(t) - self._log_integral
@@ -308,7 +316,7 @@ class CoordinateMarginal:
 
     @property
     def modes(self) -> tuple[float, ...]:
-        return self._modes
+        return _tilt_modes(self.kappa, self.power, self.p)
 
     @property
     def tilt_normalizer(self) -> float:
@@ -327,9 +335,10 @@ class CoordinateMarginal:
         def g(t):
             return float(t**k * np.exp(self.logpdf(t)))
 
-        pts = list(self._modes)
+        from scipy import integrate
+
         val, _ = integrate.quad(
-            g, -1.0, 1.0, points=pts, limit=500, epsabs=1e-15, epsrel=1e-12
+            g, -1.0, 1.0, points=list(self.modes), limit=500, epsabs=1e-15, epsrel=1e-12
         )
         return val
 
@@ -350,8 +359,7 @@ def _marginal(p: int, kappa: float, power: int) -> CoordinateMarginal:
         raise DomainError(f"need p >= 3, got {p}")
     if kappa < 0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
-    li = _log_norm_integral(kappa, power, p) if kappa != 0.0 else _log_norm_integral(0.0, 2, p)
-    return CoordinateMarginal(p, kappa, power, li, _tilt_modes(kappa, power, p))
+    return CoordinateMarginal(p, kappa, power)
 
 
 def fvml_marginal(kappa: float, p: int) -> CoordinateMarginal:

@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .distributions import CoordinateMarginal, _marginal
 from .errors import DomainError
@@ -168,12 +167,15 @@ class InverseCdfTable:
     """Monotone-cubic inverse CDF of a 1-D density on a refined grid.
 
     Built once per marginal and cached; lookup maps Uniform(0,1) draws
-    to samples with CDF error below `_TABLE_TOL`.
+    to samples with CDF error below `_TABLE_TOL`.  A density too
+    concentrated for the table's grids on [lo, hi], one whose cell
+    masses are not finite or whose knots cannot carry a finite inverse
+    slope, raises DomainError.
     """
 
     def __init__(self, logpdf, lo: float, hi: float):
         t, cdf = self._build_knots(logpdf, lo, hi, _TABLE_TOL)
-        self._inv = PchipInterpolator(cdf, t, extrapolate=False)
+        self._inv = _monotone_inverse(cdf, t)
         self.lo, self.hi = lo, hi
         self.knots = t
         self.cdf = cdf
@@ -194,6 +196,8 @@ class InverseCdfTable:
         shift = float(np.max(logpdf(np.linspace(lo, hi, 4097))))
         mass = self._cell_masses(logpdf, coarse[:-1], coarse[1:], shift)
         cum = np.concatenate([[0.0], np.cumsum(mass)])
+        if not 0.0 < cum[-1] < math.inf:
+            raise DomainError(f"the density's mass on [{lo}, {hi}] is not a finite positive number")
         cum /= cum[-1]
         # pass 2: re-knot at equal CDF increments so cells carry equal mass
         levels = np.linspace(0.0, 1.0, 4097)
@@ -211,7 +215,7 @@ class InverseCdfTable:
                 break
             # verify the interpolated inverse at cell mid-levels against
             # the true CDF (cell cdf plus a partial-cell quadrature)
-            invp = PchipInterpolator(cdf, edges, extrapolate=False)
+            invp = _monotone_inverse(cdf, edges)
             midlev = 0.5 * (cdf[1:] + cdf[:-1])
             that = np.asarray(invp(midlev))
             idx = np.clip(np.searchsorted(edges, that, side="right") - 1, 0, len(edges) - 2)
@@ -229,11 +233,33 @@ class InverseCdfTable:
         return np.clip(t, self.lo, self.hi)
 
 
+def _monotone_inverse(cdf: np.ndarray, t: np.ndarray):
+    """The PCHIP interpolant of t against the increasing cdf.  Knots that
+    cannot carry one, which scipy rejects, raise DomainError: fewer than
+    two, a cdf that is not finite and increasing, or cdf steps so small
+    that the slopes overflow."""
+    from scipy.interpolate import PchipInterpolator  # loaded by the first table
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        try:
+            return PchipInterpolator(cdf, t, extrapolate=False)
+        except ValueError:
+            raise DomainError(
+                f"{len(t)} knots on [{t[0]}, {t[-1]}] cannot carry a finite inverse CDF"
+            ) from None
+
+
 @lru_cache(maxsize=64)
 def _marginal_table(p: int, kappa: float, power: int) -> InverseCdfTable:
     marg = _marginal(p, kappa, power)
     lo, hi = marg.window()
-    return InverseCdfTable(marg.log_unnorm, lo, hi)
+    try:
+        return InverseCdfTable(marg.log_unnorm, lo, hi)
+    except DomainError as exc:
+        raise DomainError(
+            f"the coordinate law at p={p}, kappa={kappa} is too concentrated "
+            f"to tabulate: {exc}"
+        ) from None
 
 
 @lru_cache(maxsize=64)

@@ -288,6 +288,24 @@ def test_cmd_power_config_value_not_a_number_exits_1(tmp_path, capsys, field, va
     assert captured.out == ""
 
 
+def test_cmd_power_too_concentrated_tilt_exits_1(tmp_path, capsys):
+    # kappa ~ 5.9e10 leaves the FvML marginal too narrow a window for its
+    # inverse-CDF table; this printed scipy's PCHIP traceback
+    cfg = {
+        "n": 10, "p": 50, "alpha": 0.05, "reps": 100,
+        "model_family": "fvml", "signal_grid": [1e10],
+        "methods": ["sup_distance"], "seed": 21,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["power", "--config", str(cfg_path), "--threads", "1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("sphuni power: ")
+    assert "p=50, kappa=" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask here")
 @pytest.mark.parametrize("command", [
     ["size", "--n", "10", "--p", "10"],

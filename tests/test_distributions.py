@@ -381,3 +381,62 @@ def test_marginal_moment_domain():
     marg = null_coordinate_marginal(10)
     with pytest.raises(DomainError):
         marg.moment(9)
+
+
+# the normaliser is computed on first use, with the floats recorded when it
+# was computed at construction
+@pytest.mark.parametrize("marg, want", [
+    (lambda: fvml_marginal(4.0, 30), (
+        "1.3027659473998032",
+        ["-25.528270550035145", "-7.933275143426519", "-1.9815934308046124",
+         "0.4916007420571458", "0.4184065691953887", "-3.1332751434265167",
+         "-18.328270550035143"],
+        "0.048957214653857994")),
+    (lambda: watson_marginal(25.0, 40), (
+        "6.0259868194335215",
+        ["-11.363175844309708", "-0.1459599167349247", "-0.38439608832712746",
+         "-0.8896485181091628", "-0.3843960883271277", "-0.14595991673492292",
+         "-11.363175844309708"],
+        "0.19565480636601268")),
+    (lambda: null_coordinate_marginal(20), (
+        "0.9999999999999989",
+        ["-13.576086141624533", "-3.2533112559820654", "-0.26151165914605",
+         "0.5401291163595016", "-0.26151165914604924", "-3.253311255982064",
+         "-13.576086141624533"],
+        "0.050000000000000024")),
+], ids=["fvml", "watson", "null"])
+def test_lazy_normalizer_keeps_its_floats(marg, want):
+    m = marg()
+    logpdf = [repr(float(v)) for v in m.logpdf(np.linspace(-0.9, 0.9, 7))]
+    assert (repr(m.tilt_normalizer), logpdf, repr(m.moment(2))) == want
+
+
+def test_fvml_log_normalizer_keeps_its_float():
+    assert repr(fvml_log_normalizer(4.0, 30)) == "-0.2644896560677475"
+
+
+def test_table_and_pair_grid_run_no_quadrature(monkeypatch):
+    from sphuni import asymptotics, samplers
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(distributions, "log_quad", no_quadrature)
+    # (p, kappa) pairs no other test builds, so every cache starts empty
+    samplers._marginal_table(37, 2.75, 1)
+    samplers._marginal_table(41, 3.25, 2)
+    asymptotics._pair_grid(43, 1.75, 1)
+    asymptotics._pair_grid(47, 2.25, 2)
+    with pytest.raises(AssertionError, match="quadrature ran"):
+        fvml_marginal(2.75, 37).tilt_normalizer
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fvml_marginal(1.0, 2),
+    lambda: watson_marginal(1.0, 2),
+    lambda: fvml_marginal(-1.0, 10),
+    lambda: watson_marginal(-0.5, 10),
+], ids=["fvml-p2", "watson-p2", "fvml-negative-kappa", "watson-negative-kappa"])
+def test_marginal_checks_its_arguments_at_construction(make):
+    with pytest.raises(DomainError):
+        make()

@@ -435,3 +435,13 @@ def test_tilt_rejects_a_kappa_that_is_not_finite_and_nonnegative(model, kappa):
     # quadrature, with an error that named no field
     with pytest.raises(DomainError, match="kappa"):
         model(10, kappa)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("model", [Fvml, Watson])
+def test_too_concentrated_tilt_raises_domain_error_naming_p_and_kappa(model):
+    # the marginal's window is too narrow for the inverse-CDF table: FvML
+    # failed inside scipy's PCHIP with non-finite slopes, Watson with
+    # fewer than two knots
+    with pytest.raises(DomainError, match=r"p=50, kappa=1000000000000\.0"):
+        sample(model(50, 1e12), 4, 0)
