@@ -161,6 +161,9 @@ def _as_rng(seed) -> np.random.Generator:
 
 
 _TABLE_TOL = 1e-10  # CDF error bound of an inverse-CDF table
+# share of the mass a refinement pass may lose where zero-mass cells were
+# merged into a neighbour before the build gives up on the density
+_TABLE_LOST_MASS = 1e-3
 
 
 class InverseCdfTable:
@@ -168,9 +171,9 @@ class InverseCdfTable:
 
     Built once per marginal and cached; lookup maps Uniform(0,1) draws
     to samples with CDF error below `_TABLE_TOL`.  A density too
-    concentrated for the table's grids on [lo, hi], one whose cell
-    masses are not finite or whose knots cannot carry a finite inverse
-    slope, raises DomainError.
+    concentrated for the table's grids on [lo, hi] raises DomainError:
+    one whose cell masses are not finite, whose knots cannot carry a
+    finite inverse slope, or whose mode a merged cell's rule misses.
     """
 
     def __init__(self, logpdf, lo: float, hi: float):
@@ -204,12 +207,30 @@ class InverseCdfTable:
         edges = np.interp(levels, cum, coarse)
         edges[0], edges[-1] = lo, hi
         edges = np.unique(edges)
+        merged = None
         for attempt in range(5):
             mass = self._cell_masses(logpdf, edges[:-1], edges[1:], shift)
             cdf = np.concatenate([[0.0], np.cumsum(mass)])
+            if merged is not None:
+                # a cell that absorbed zero-mass neighbours is integrated
+                # whole now; if its rule misses the mode the cell held, the
+                # mass is gone and the table would draw from the wrong law
+                a, b, share = merged
+                again = cdf[np.searchsorted(edges, b)] - cdf[np.searchsorted(edges, a)]
+                lost = float(np.max(share - again / total, initial=0.0))
+                if lost > _TABLE_LOST_MASS:
+                    raise DomainError(
+                        f"refining the cells on [{lo}, {hi}] lost {lost:.3g} of the "
+                        "density's mass: a mode is narrower than the cells"
+                    )
             total = cdf[-1]
             cdf /= total
             keep = np.concatenate([[True], np.diff(cdf) > 0])
+            # zero-mass cells join the next cell; the next pass checks its mass
+            kept = np.flatnonzero(keep)
+            join = np.flatnonzero(np.diff(kept) > 1)
+            left, right = kept[join], kept[join + 1]
+            merged = (edges[left], edges[right], cdf[right] - cdf[left])
             edges, cdf = edges[keep], cdf[keep]
             if attempt == 4:
                 break

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -438,10 +439,32 @@ def test_tilt_rejects_a_kappa_that_is_not_finite_and_nonnegative(model, kappa):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("model", [Fvml, Watson])
-def test_too_concentrated_tilt_raises_domain_error_naming_p_and_kappa(model):
+@pytest.mark.parametrize("model, p, kappa, why", [
     # the marginal's window is too narrow for the inverse-CDF table: FvML
     # failed inside scipy's PCHIP with non-finite slopes, Watson with
     # fewer than two knots
-    with pytest.raises(DomainError, match=r"p=50, kappa=1000000000000\.0"):
-        sample(model(50, 1e12), 4, 0)
+    (Fvml, 50, 1e12, "finite inverse CDF"),
+    (Watson, 50, 1e12, "not a finite positive number"),
+    # the peaks near +-1 are ~1/kappa wide; merging zero-mass cells left one
+    # inside a cell whose 16-point rule missed it, and every draw came out
+    # on one side (at p = 3 the normaliser's quadrature raised first)
+    (Watson, 3, 3.16e7, "lost"),
+    (Watson, 50, 3.16e7, "lost"),
+])
+def test_too_concentrated_tilt_raises_domain_error_naming_p_and_kappa(model, p, kappa, why):
+    with pytest.raises(DomainError, match=rf"p={p}, kappa={re.escape(str(kappa))} .*{why}"):
+        sample(model(p, kappa), 4, 0)
+
+
+@pytest.mark.parametrize("kappa", [2e5, 1e6, 5e6])
+def test_watson_p3_concentrated_table_matches_the_closed_form(kappa):
+    # at p = 3 the Watson coordinate law exp(kappa t^2) has the CDF
+    # 1/2 + sign(t)/2 exp(kappa (t^2 - 1)) F(sqrt(kappa)|t|) / F(sqrt(kappa)),
+    # F the Dawson function; these tables build without a normaliser
+    from scipy import special
+
+    tbl = _marginal_table(3, kappa, 2)
+    t, s = tbl.knots, math.sqrt(kappa)
+    exact = 0.5 + 0.5 * np.sign(t) * np.exp(kappa * (t * t - 1.0)) * special.dawsn(
+        s * np.abs(t)) / special.dawsn(s)
+    assert np.max(np.abs(tbl.cdf - exact)) < 1e-5
