@@ -56,7 +56,8 @@ def test_cold_start_loads_no_quadrature_or_interpolation():
     assert steps["fvml sample"] == ["scipy.interpolate"]
 
 
-@pytest.mark.parametrize("args", [["--version"], ["test", "--data", "{csv}", "--normalize", "--seed", "1"]])
+@pytest.mark.parametrize("args", [["--version"], ["test", "--data", "{csv}", "--normalize", "--seed", "1"]],
+                         ids=["version", "test"])
 def test_cli_cold_start_loads_no_quadrature_or_interpolation(tmp_path, args):
     # cli.py imports more of the package than `import sphuni` does; its
     # import log, on stderr under -X importtime, must name neither module
