@@ -11,7 +11,9 @@ import numpy as np
 from scipy import special
 
 from .distributions import (
+    _cdf_parts,
     _marginal,
+    _null_cdf_core,
     fvml_log_normalizer,
     kolmogorov_quantile,
     log_coordinate_density_const,
@@ -140,13 +142,25 @@ def _tilted_inner_cdf(u: np.ndarray, p: int, kappa: float, power: int) -> np.nda
     uprod, uscale, lut, weight = _pair_grid(p, float(kappa), power)
     rt_p = math.sqrt(p)
     out = np.empty(len(u))
+    # one C-ordered gather of up to a block's rows, reused for every block
+    gather = np.empty((min(len(u), _GRID_BLOCK), len(lut)))
     for b0 in range(0, len(u), _GRID_BLOCK):
         ub = u[b0 : b0 + _GRID_BLOCK, None]
-        arg = np.clip((ub / rt_p - uprod[None, :]) / uscale[None, :], -1.0, 1.0)
-        cdf = null_inner_cdf(arg, p - 1)
-        # np.take keeps the gathered block C-ordered; a fancy-indexed
-        # cdf[:, lut] is Fortran-ordered and BLAS then rounds differently
-        out[b0 : b0 + _GRID_BLOCK] = np.take(cdf, lut, axis=1) @ weight
+
+        def chunk(lo, hi):
+            # the argument, its null CDF and its gather, in a chunk-sized array
+            arg = ub[lo:hi] / rt_p - uprod
+            arg /= uscale
+            np.clip(arg, -1.0, 1.0, out=arg)
+            _null_cdf_core(arg, p - 1, arg)
+            # every lut index is in range; the default mode="raise" would
+            # gather into a temporary copy of the rows first
+            np.take(arg, lut, axis=1, out=gather[lo:hi], mode="clip")
+
+        _cdf_parts(chunk, len(ub), len(uprod))
+        # one matvec per block on the calling thread: a row's float depends
+        # on the rows BLAS groups it with and on the gather's C order
+        out[b0 : b0 + len(ub)] = gather[: len(ub)] @ weight
     return out
 
 
@@ -182,10 +196,14 @@ def distance_from_uniformity(model: ModelSpec, grid_size: int = 4096) -> float:
     the result is the full grid's.  A model without a quadrature route
     raises `model_inner_cdf`'s DomainError.
 
-    Each block (455 x 4,656 null CDF values for FvML and Watson) and each
-    17-point refinement round (79,152 values) is at least `null_inner_cdf`'s
-    `_CDF_SPLIT`, so it runs on every CPU in the process's affinity mask;
-    the floats, and so the distance, do not depend on the number of CPUs.
+    For FvML and Watson each block's rows (455 x 4,656 null CDF values),
+    each 17-point refinement round (79,152) and the 20-point bracket are
+    cut into chunks of about `_CDF_SPLIT` (65,536) values, at least one
+    per CPU in the process's affinity mask.  A thread per CPU takes each
+    chunk from its argument through `betainc` into one reused gather
+    buffer of at most 455 x 9,216, and the calling thread reduces each
+    block with one matrix-vector product.  A row's float depends only on
+    its block, so the distance does not depend on the number of CPUs.
     """
     if grid_size < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")

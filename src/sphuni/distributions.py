@@ -31,13 +31,49 @@ _CLAMP_SLACK = 1e-12
 # has one, which `taskset` or a container's cpuset narrows below cpu_count()
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
-# an evaluation of at least this many values is split across _CDF_WORKERS
-# threads, one per CPU; below it one slice costs less than starting a pool.
+# an evaluation of at least this many values runs on _CDF_WORKERS threads
+# (`_cdf_parts`); below it one part costs less than starting a pool.
 # Every evaluation on the power and test-request paths (the sup kernel's
 # few values per row, the 16,385 knots of _null_cdf_table, which also run
 # in _replicate's worker threads) stays below it, so no pools nest
 _CDF_SPLIT = 1 << 16
 _CDF_WORKERS = _CPUS
+
+
+def _cdf_parts(fn, rows: int, width: int = 1) -> None:
+    """Call fn(lo, hi) on contiguous row ranges that cover `rows` rows of
+    `width` null CDF values each.
+
+    Fewer than `_CDF_SPLIT` values are one range on the calling thread.
+    More are cut into near-equal ranges of about `_CDF_SPLIT` values, at
+    least one per worker, which a pool of `_CDF_WORKERS` threads made for
+    the call runs (betainc releases the GIL); on one worker they run in
+    turn on the calling thread.  Each range sees only its own rows, so a
+    row's floats do not depend on the cut.
+    """
+    size = rows * width
+    parts = 1 if size < _CDF_SPLIT else min(rows, max(_CDF_WORKERS, -(-size // _CDF_SPLIT)))
+    edges = [rows * k // parts for k in range(parts + 1)]
+    if parts == 1 or _CDF_WORKERS == 1:
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            fn(lo, hi)
+        return
+    with futures.ThreadPoolExecutor(max_workers=_CDF_WORKERS) as pool:
+        list(pool.map(fn, edges[:-1], edges[1:]))
+
+
+def _null_cdf_core(t: np.ndarray, p: int, out: np.ndarray) -> None:
+    """Write `null_inner_cdf(t, p)` into `out`, which may be `t`.
+
+    Unchecked and on the calling thread: every t must lie within 1e-12 of
+    [-1, 1] or be NaN, and p >= 2.  The same clip((1 + t)/2, 0, 1) and
+    betainc(a, a, .) as `null_inner_cdf`, so the same floats.
+    """
+    np.add(1.0, t, out=out)
+    np.divide(out, 2.0, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+    a = (p - 1) / 2.0
+    special.betainc(a, a, out, out=out)
 
 
 def null_inner_cdf(t, p: int):
@@ -48,28 +84,20 @@ def null_inner_cdf(t, p: int):
     value is computed.  A NaN gives NaN.
 
     An evaluation of at least `_CDF_SPLIT` (65,536) values is cut into
-    one contiguous slice of the flattened arguments per CPU the process
-    may run on (`os.sched_getaffinity`), and the slices run `betainc` on
-    a thread pool of that size made for the call; betainc releases the
-    GIL.  betainc is elementwise, so every value is the same float
-    whatever the number of slices.  A smaller evaluation, or any on one
-    CPU, is one slice on the calling thread.
+    contiguous slices of the flattened arguments, at least one per CPU
+    the process may run on (`os.sched_getaffinity`), which run on a
+    thread pool of that size made for the call (`_cdf_parts`).  betainc
+    is elementwise, so every value is the same float whatever the cut.
+    A smaller evaluation, or any on one CPU, runs on the calling thread.
     """
     if p < 2:
         raise DomainError(f"need p >= 2, got {p}")
     t = np.asarray(t, dtype=float)
     if np.any(t < -1 - _CLAMP_SLACK) or np.any(t > 1 + _CLAMP_SLACK):
         raise DomainError("t outside [-1, 1]")
-    x = np.clip((1.0 + t) / 2.0, 0.0, 1.0)
-    a = (p - 1) / 2.0
     out = np.empty(t.shape)
-    if x.size < _CDF_SPLIT or _CDF_WORKERS == 1:
-        special.betainc(a, a, x, out=out)
-    else:
-        with futures.ThreadPoolExecutor(max_workers=_CDF_WORKERS) as pool:
-            list(pool.map(lambda xs, part: special.betainc(a, a, xs, out=part),
-                          np.array_split(x.ravel(), _CDF_WORKERS),
-                          np.array_split(out.reshape(-1), _CDF_WORKERS)))
+    flat, dst = t.ravel(), out.reshape(-1)
+    _cdf_parts(lambda lo, hi: _null_cdf_core(flat[lo:hi], p, dst[lo:hi]), t.size)
     return float(out) if out.ndim == 0 else out
 
 

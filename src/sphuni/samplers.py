@@ -160,7 +160,9 @@ def _as_rng(seed) -> np.random.Generator:
 # inverse-CDF tables for 1-D marginals
 
 
-_TABLE_TOL = 1e-10  # CDF error bound of an inverse-CDF table
+# CDF error an inverse-CDF table's refinement aims at; five passes do not
+# always reach it (see InverseCdfTable)
+_TABLE_TOL = 1e-10
 # share of the mass a refinement pass may lose where zero-mass cells were
 # merged into a neighbour before the build gives up on the density
 _TABLE_LOST_MASS = 1e-3
@@ -170,7 +172,18 @@ class InverseCdfTable:
     """Monotone-cubic inverse CDF of a 1-D density on a refined grid.
 
     Built once per marginal and cached; lookup maps Uniform(0,1) draws
-    to samples with CDF error below `_TABLE_TOL`.  A density too
+    to samples.  The build re-knots a coarse mass profile at equal CDF
+    steps, then checks the inverse at every cell's mid-level against a
+    16-point quadrature of the cell and halves each cell that misses
+    `_TABLE_TOL`.  It stops after five passes (four halvings) whether or
+    not every cell met the tolerance, so `_TABLE_TOL` is an aim, not a
+    bound.  Measured against scipy's `quad` at every cell's mid-level,
+    the FvML p = 80, kappa = 80^{1/4} table (power-small's tau = 1) and
+    the Watson p = 600 table of the n = 400, tau = 2 curve miss it on
+    about 40 % of their ~9,000 cells: by at most 1.3e-8 at levels within
+    [1e-3, 1 - 1e-3], and by 1.7e-6 in the widest tail cells, which
+    began as one cell holding the whole tail below the first level step
+    of 1/4096 and were halved only four times.  A density too
     concentrated for the table's grids on [lo, hi] raises DomainError:
     one whose cell masses are not finite, whose knots cannot carry a
     finite inverse slope, or whose mode a merged cell's rule misses.
@@ -208,6 +221,8 @@ class InverseCdfTable:
         edges[0], edges[-1] = lo, hi
         edges = np.unique(edges)
         merged = None
+        # five passes at most, whatever the error left: more would move
+        # every table, and so every draw, that stops short of tol now
         for attempt in range(5):
             mass = self._cell_masses(logpdf, edges[:-1], edges[1:], shift)
             cdf = np.concatenate([[0.0], np.cumsum(mass)])

@@ -12,11 +12,12 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .distributions import (
+    _CLAMP_SLACK,
+    _null_cdf_core,
     _null_cdf_table,
     kolmogorov_quantile,
     kolmogorov_sf,
     normal_cdf,
-    null_inner_cdf,
     packing_gumbel_cdf,
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
@@ -69,7 +70,7 @@ def sup_null_distance(values, p: int) -> float:
 
 def _sup_null_rows(values: np.ndarray, p: int) -> np.ndarray:
     """`sup_null_distance` of every row of `values` (R, N), each row sorted
-    ascending, with one `null_inner_cdf` call for all R rows.
+    ascending, with one unchecked null CDF evaluation for all R rows.
 
     The per-p table `_null_cdf_table` brackets F = null_inner_cdf at any
     value, lo <= F_j <= hi, without betainc.  So the term
@@ -80,14 +81,21 @@ def _sup_null_rows(values: np.ndarray, p: int) -> np.ndarray:
     and hi_b - b/N.  A block is split, and at the last level bounded
     value by value, only while its bound still reaches the largest lower
     bound found so far in its own row.  F is evaluated exactly on each
-    row's first and last value, which also checks that every value lies
-    in [-1, 1], and on the values whose u still reaches that row's lower
-    bound; a row's result is the maximum of their terms: the same
-    per-value terms as `sup_cdf_distance` and so the same float.
+    row's first and last value and on the values whose u still reaches
+    that row's lower bound; a row's result is the maximum of their
+    terms: the same per-value terms as `sup_cdf_distance` and so the
+    same float.  A row is sorted, so its first and last values bound it:
+    one more than 1e-12 outside [-1, 1] raises DomainError, as
+    `null_inner_cdf` would, before any bound is taken.  A row holding a
+    NaN gives NaN.
     """
     rows, n = values.shape
     if n == 0:
         raise DomainError("need at least one value")
+    # fmin and fmax skip NaN, so one row's NaN cannot hide another row's end
+    first, last = np.fmin.reduce(values[:, 0]), np.fmax.reduce(values[:, -1])
+    if first < -1 - _CLAMP_SLACK or last > 1 + _CLAMP_SLACK:
+        raise DomainError("t outside [-1, 1]")
     knots, lower, upper = _null_cdf_table(p)
     flat = values.ravel()
     best = np.full(rows, -1.0)
@@ -125,7 +133,8 @@ def _sup_null_rows(values: np.ndarray, p: int) -> np.ndarray:
     ki, kk = np.nonzero(np.maximum(over, under) >= (best[r] - _MONOTONE_SLACK)[:, None])
     r = np.concatenate([r[ki], np.arange(rows).repeat(2)])
     j = np.concatenate([j[ki, kk], np.tile((0, n - 1), rows)])
-    fj = null_inner_cdf(flat[r * n + j], p)
+    fj = flat[r * n + j]
+    _null_cdf_core(fj, p, fj)
     out = np.full(rows, -np.inf)
     np.maximum.at(out, r, np.maximum((j + 1) / n - fj, fj - j / n))
     return out

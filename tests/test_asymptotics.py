@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,15 +151,16 @@ def _full_grid_cdf(u, p, kappa, power):
 @pytest.mark.parametrize("power", [1, 2])
 @pytest.mark.parametrize("p", [5, 60, 1000])
 def test_tilted_cdf_equals_full_grid(power, p, monkeypatch):
-    # the grid is stored once per unordered node pair; the result must
-    # be == to the full ordered-pair grid for 1 and 17 rows, one block
-    # plus one row, and two blocks plus one row, whether the null CDF
-    # runs on one thread or is split three ways (from 17 rows on)
+    # the grid is stored once per unordered node pair and each block is cut
+    # into row chunks; the result must be == to the full ordered-pair grid
+    # for 1 and 17 rows, 100 rows (eight chunks of 12 or 13), one block
+    # plus one row, and two blocks plus one row, whether the chunks run
+    # on one thread or on a pool of two or three (from 15 rows on)
     kappa = p**0.75 / 2.0
-    for rows in (1, 17, 456, 911):
+    for rows in (1, 17, 100, 456, 911):
         u = np.linspace(-6.0, 6.0 + math.sqrt(p) * 0.1, rows) if rows > 1 else np.array([0.3])
         want = _full_grid_cdf(u, p, kappa, power)
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
             got = asymptotics._tilted_inner_cdf(u, p, kappa, power)
             assert np.array_equal(got, want), (power, p, rows, workers)
@@ -172,15 +174,35 @@ def test_tilted_cdf_evaluates_each_unordered_pair_once(monkeypatch):
     assert np.array_equal(pair, pair.T)
     assert np.array_equal(np.unique(lut), np.arange(96 * 97 // 2))
     shapes = []
-    real = asymptotics.null_inner_cdf
+    real = asymptotics._null_cdf_core
 
-    def spy(t, p):
+    def spy(t, p, out):
         shapes.append(np.shape(t))
-        return real(t, p)
+        real(t, p, out)
 
-    monkeypatch.setattr(asymptotics, "null_inner_cdf", spy)
+    # the chunks of a block may run in any order, but all before the next block's
+    monkeypatch.setattr(asymptotics, "_null_cdf_core", spy)
     asymptotics._tilted_inner_cdf(np.linspace(-3.0, 3.0, 500), 60, 3.0, 1)
-    assert shapes == [(455, 4656), (45, 4656)]
+    rows, cols = np.array(shapes).T
+    assert set(cols) == {4656}
+    assert 455 in np.cumsum(rows) and rows.sum() == 500
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_tilted_cdf_peak_memory_is_one_gather_block(workers, monkeypatch):
+    # the chunks stream into one reused 455 x 9,216 gather (1.02 to 1.05
+    # times its size on one to three workers); the block-sized argument,
+    # null CDF and gather arrays made per block came to 2.02 times
+    monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
+    u = np.linspace(-6.0, 6.0, 911)
+    asymptotics._tilted_inner_cdf(u[:1], 60, 3.0, 1)  # the cached pair grid
+    tracemalloc.start()
+    try:
+        asymptotics._tilted_inner_cdf(u, 60, 3.0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * (455 * 9216 * 8)
 
 
 # ---------------------------------------------------------------------------

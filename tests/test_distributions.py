@@ -128,8 +128,9 @@ def _count_pools(monkeypatch):
     "shape", [(distributions._CDF_SPLIT - 1,), (distributions._CDF_SPLIT,), (455, 4656)]
 )
 def test_null_cdf_split_is_betainc_bit_for_bit(shape, workers, monkeypatch):
-    # below the threshold one slice on the calling thread; from it on one
-    # contiguous slice per worker, with every value betainc's own float
+    # below the threshold one slice on the calling thread; from it on
+    # slices of about 2^16 values, at least one per worker, on one pool,
+    # with every value betainc's own float
     if workers is not None:
         monkeypatch.setattr(distributions, "_CDF_WORKERS", workers)
     started = _count_pools(monkeypatch)

@@ -21,6 +21,7 @@ from sphuni import (
     pairwise_inner_products,
     sample,
     sample_uniform_direction,
+    signal_model,
     watson_marginal,
 )
 from sphuni.samplers import _cap_block, _draw_block, _marginal_table
@@ -454,6 +455,30 @@ def test_tilt_rejects_a_kappa_that_is_not_finite_and_nonnegative(model, kappa):
 def test_too_concentrated_tilt_raises_domain_error_naming_p_and_kappa(model, p, kappa, why):
     with pytest.raises(DomainError, match=rf"p={p}, kappa={re.escape(str(kappa))} .*{why}"):
         sample(model(p, kappa), 4, 0)
+
+
+@pytest.mark.parametrize("family, n, p, tau", [("fvml", 80, 80, 1.0), ("watson", 400, 600, 2.0)])
+def test_inverse_cdf_table_error_after_five_passes(family, n, p, tau):
+    # the table's own CDF at the inverse of every cell's mid-level, against
+    # quad from the window's start, for the power-small and power-large
+    # tables: the build stops after five passes, and these are the errors
+    # it left (1.2e-8 and 1.3e-8 inside [1e-3, 1 - 1e-3], 1.69e-6 and
+    # 1.73e-6 in the widest tail cells), not _TABLE_TOL = 1e-10
+    model = signal_model(family, n, p, tau)
+    tbl = _marginal_table(p, model.kappa, model.power)
+    log_unnorm = model.marginal.log_unnorm
+    levels = 0.5 * (tbl.cdf[1:] + tbl.cdf[:-1])
+    t = np.concatenate([[tbl.lo], tbl(levels), [tbl.hi]])
+    shift = float(np.max(log_unnorm(t)))
+    mass = np.cumsum([
+        integrate.quad(lambda x: math.exp(float(log_unnorm(x)) - shift), a, b,
+                       epsabs=0.0, epsrel=1e-12)[0]
+        for a, b in zip(t[:-1], t[1:])
+    ])
+    err = np.abs(mass[:-1] / mass[-1] - levels)
+    inner = (levels > 1e-3) & (levels < 1.0 - 1e-3)
+    assert np.max(err[inner]) < 2e-8
+    assert np.max(err) < 2e-6
 
 
 @pytest.mark.parametrize("kappa", [2e5, 1e6, 5e6])

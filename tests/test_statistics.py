@@ -298,6 +298,33 @@ def test_sup_null_rows_rejects_a_row_outside_the_range():
         _sup_null_rows(np.empty((2, 0)), 5)
 
 
+@pytest.mark.parametrize("end, sign", [(0, -1.0), (-1, 1.0)])
+def test_sup_null_rows_checks_each_rows_ends(end, sign):
+    # a sorted row's first and last values bound it: 1e-9 past either end
+    # raises, 1e-13 past is clamped as null_inner_cdf clamps it
+    rows = np.tile(np.linspace(-0.9, 0.9, 2000), (2, 1))
+    rows[1, end] = sign * (1.0 + 1e-13)
+    clamped = _sup_null_rows(rows, 5)
+    assert clamped[1] == _full(rows[1], 5)
+    rows[1, end] = sign * (1.0 + 1e-9)
+    with pytest.raises(DomainError, match=r"t outside \[-1, 1\]"):
+        _sup_null_rows(rows, 5)
+
+
+def test_sup_null_rows_gives_nan_for_a_row_holding_nan():
+    # the floats recorded before the kernel skipped null_inner_cdf's checks
+    rows = np.tile(np.linspace(-0.9, 0.9, 2000), (3, 1))
+    rows[1, -1] = np.nan
+    rows[2, 1000] = np.nan
+    rows[2].sort()
+    with np.errstate(invalid="ignore"):
+        got = _sup_null_rows(rows, 5)
+    assert got[0] == _full(rows[0], 5) and np.isnan(got[1:]).all()
+    rows[0, -1] = 1.5  # and a NaN in other rows does not hide this row's end
+    with pytest.raises(DomainError):
+        _sup_null_rows(rows, 5)
+
+
 def test_sup_null_distance_rejects_what_full_evaluation_rejects():
     with pytest.raises(DomainError):
         sup_null_distance(np.array([]), 5)
