@@ -23,7 +23,7 @@ from .asymptotics import (
     predict_asymptotic_power,
 )
 from .distributions import _CPUS
-from .errors import SphuniError
+from .errors import ConfigError, SphuniError
 from .harness import (
     ExperimentConfig,
     export_csv,
@@ -179,9 +179,10 @@ def _cmd_size(args) -> int:
         n=args.n, p=args.p, alpha=args.alpha, reps=args.reps,
         model_family="uniform", signal_grid=(0.0,),
         methods=tuple(args.method or METHODS[:4]), seed=args.seed,
-        output_path=args.out,
     )
     curve = run_size_experiment(cfg, threads=args.threads)
+    if args.out:
+        export_csv(curve, args.out)
     pairs = {f"rate_{c.method}": _fmt(c.rate) for c in curve.cells}
     print(_kv(command="size", n=args.n, p=args.p, alpha=_fmt(args.alpha),
               reps=args.reps, seed=args.seed, **pairs))
@@ -192,15 +193,15 @@ def _cmd_power(args) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_path=args.out)
     curve = run_power_curve(cfg, threads=args.threads)
+    if args.out:
+        export_csv(curve, args.out)
     if args.svg:
         _write_power_svg(curve, args.svg)
     print(_kv(command="power", family=cfg.model_family, n=cfg.n, p=cfg.p,
               reps=cfg.reps, seed=cfg.seed, cells=len(curve.cells),
               config_hash=curve.config_hash,
-              out=cfg.output_path or "-"))
+              out=args.out or "-"))
     return 0
 
 
@@ -310,17 +311,22 @@ _COMMANDS = {
 }
 
 
+def _env_seed() -> int:
+    raw = os.environ.get("SPHUNI_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"SPHUNI_SEED must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # power keeps its config's seed, and predict draws nothing
-    if args.command not in ("power", "predict") and args.seed is None:
-        args.seed = int(os.environ.get("SPHUNI_SEED", "0"))
     try:
+        # power keeps its config's seed, and predict draws nothing
+        if args.command not in ("power", "predict") and args.seed is None:
+            args.seed = _env_seed()
         return _COMMANDS[args.command](args)
-    except SphuniError as exc:
-        print(f"sphuni {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SphuniError, OSError) as exc:
         print(f"sphuni {args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,6 @@ class ExperimentConfig:
     seed: int
     tails: dict | None = None
     calibration: str = "asymptotic"
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.n < 2 or self.p < 2:
@@ -59,6 +58,8 @@ class ExperimentConfig:
             raise ConfigError(f"field alpha: must be in (0, 1), got {self.alpha}")
         if self.reps < 100:
             raise ConfigError(f"field reps: need >= 100, got {self.reps}")
+        if self.seed < 0:
+            raise ConfigError(f"field seed: must be >= 0, got {self.seed}")
         if self.model_family not in _FAMILIES:
             raise ConfigError(f"field model_family: unknown family {self.model_family!r}")
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
@@ -115,7 +116,6 @@ _CONFIG_FIELDS = {
     "seed": int,
     "tails": (dict, type(None)),
     "calibration": str,
-    "output_path": (str, type(None)),
 }
 _REQUIRED_FIELDS = tuple(
     f.name for f in fields(ExperimentConfig)
@@ -286,10 +286,7 @@ def run_power_curve(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
             rate = int(np.count_nonzero(pv <= cfg.alpha)) / cfg.reps
             se = math.sqrt(rate * (1.0 - rate) / cfg.reps)
             cells.append(PowerCell(cfg.model_family, tau, meth, rate, se, cfg.reps))
-    curve = PowerCurve(tuple(cells), cfg.seed, cfg.config_hash(), time.monotonic() - t0)
-    if cfg.output_path:
-        export_csv(curve, cfg.output_path)
-    return curve
+    return PowerCurve(tuple(cells), cfg.seed, cfg.config_hash(), time.monotonic() - t0)
 
 
 def run_size_experiment(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:

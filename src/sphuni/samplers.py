@@ -87,7 +87,6 @@ class Watson(_Tilt):
 class LowRank:
     p: int
     k: int
-    rotate: bool = False
 
     def __post_init__(self):
         if not 2 <= self.k <= self.p:
@@ -130,6 +129,10 @@ class RngSeed:
     master: int
     stream: int = 0
 
+    def __post_init__(self):
+        if self.master < 0 or self.stream < 0:
+            raise DomainError(f"master and stream must be >= 0, got {self}")
+
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
             np.random.SeedSequence(self.master, spawn_key=(self.stream,))
@@ -139,7 +142,8 @@ class RngSeed:
 def _master(seed, error, field: str) -> int:
     """The int master seed named by `seed`: an int, or an `RngSeed` of
     stream 0.  Each replication of a seeded pass draws from its own stream
-    of the master, so any other stream raises `error` naming `field`."""
+    of the master, so any other stream, or a negative seed, raises `error`
+    naming `field`."""
     if isinstance(seed, RngSeed):
         if seed.stream != 0:
             raise error(
@@ -147,6 +151,8 @@ def _master(seed, error, field: str) -> int:
                 f"so an RngSeed must have stream 0, got {seed}"
             )
         return seed.master
+    if int(seed) < 0:
+        raise error(f"{field}: must be >= 0, got {seed}")
     return int(seed)
 
 
@@ -378,20 +384,12 @@ def _tangent_normal_block(model: _Tilt, rngs, out: np.ndarray, normals) -> np.nd
 
 def _lowrank_block(model: LowRank, rngs, out: np.ndarray) -> np.ndarray:
     """Uniform draws on the k-sphere embedded in the first k coordinates,
-    sample j into out[j] from rngs[j], optionally pushed through one
-    random rotation that sample j draws first."""
-    _, n, p = out.shape
-    normals, rows = np.empty((1, n, model.k)), np.zeros((n, p))
+    sample j into out[j] from rngs[j]."""
+    normals = np.empty((1, out.shape[1], model.k))
+    out[..., model.k :] = 0.0
     for rng, x in zip(rngs, out):
-        if model.rotate:
-            q, r = np.linalg.qr(rng.standard_normal((p, p)))
-            q *= np.sign(np.diag(r))
         rng.standard_normal(out=normals[0])
-        rows[:, : model.k] = _unit_normals(normals, [rng])[0]
-        if model.rotate:
-            np.matmul(rows, q.T, out=x)
-        else:
-            x[...] = rows
+        x[:, : model.k] = _unit_normals(normals, [rng])[0]
     return out
 
 
@@ -411,42 +409,41 @@ def _alpha_block(model: AlphaSpherical, rngs, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_simplex_frame(p: int) -> np.ndarray:
-    """(p+1) unit vectors in R^p with pairwise inner products -1/p.
+def _simplex_scalars(p: int) -> tuple[float, float, float]:
+    """(s, c, d) of the regular simplex frame in R^p: row i < p is
+    s e_i + c 1 and row p is d 1, with s = sqrt((p+1)/p), d = 1/sqrt(p)
+    and c = -(s + d)/p, so the rows are unit, sum to zero and have
+    pairwise inner products -1/p."""
+    s, d = math.sqrt((p + 1) / p), 1.0 / math.sqrt(p)
+    return s, -(s + d) / p, d
 
-    The centered standard-basis simplex in R^{p+1}, rescaled to unit
-    norm, then reflected so the zero-sum hyperplane lands on the first
-    p coordinates.
-    """
+
+def _simplex_rows(labels: np.ndarray, s: float, c: float, d: float, out: np.ndarray) -> np.ndarray:
+    """Write row labels[r] of the frame (s, c, d) into out[r]: c plus s at
+    coordinate labels[r] when it is below p = out.shape[1], and d when it
+    is p."""
+    p = out.shape[1]
+    out[...] = c
+    out[labels == p] = d
+    i = np.flatnonzero(labels < p)
+    out[i, labels[i]] += s
+    return out
+
+
+def build_simplex_frame(p: int) -> np.ndarray:
+    """(p+1) unit vectors in R^p with pairwise inner products -1/p."""
     if p < 3:
         raise DomainError(f"need p >= 3, got {p}")
-    m = p + 1
-    # rows: sqrt((p+1)/p) (e_i - 1/(p+1))
-    u = -np.full((m, m), 1.0 / m)
-    u[np.diag_indices(m)] += 1.0
-    u *= math.sqrt(m / p)
-    # Householder sending 1/sqrt(m) -> e_m; zero-sum vectors land with
-    # last coordinate 0
-    v = np.full(m, 1.0 / math.sqrt(m))
-    v[-1] -= 1.0
-    v /= np.linalg.norm(v)
-    frame = u - 2.0 * np.outer(u @ v, v)
-    return np.ascontiguousarray(frame[:, :p])
+    return _simplex_rows(np.arange(p + 1), *_simplex_scalars(p), np.empty((p + 1, p)))
 
 
-@lru_cache(maxsize=8)
-def _cached_frame(p: int) -> np.ndarray:
-    frame = build_simplex_frame(p)
-    frame.setflags(write=False)
-    return frame
-
-
-def _cap_block(eps: float, rngs, out: np.ndarray, frame: np.ndarray) -> np.ndarray:
+def _cap_block(eps: float, rngs, out: np.ndarray, s: float, c: float, d: float) -> np.ndarray:
     """Draws from the equal-weight mixture of uniform caps of angular
-    radius eps centered on the p + 1 rows of `frame`, sample j into out[j]
-    from rngs[j]; a model's draw passes its simplex frame.  Each row starts
-    as normals g and becomes cos(theta) mu + sin(theta) g', mu its center
-    and g' the unit part of g orthogonal to mu, a few rows at a time."""
+    radius eps centered on the p + 1 rows s e_i + c 1 (i < p) and d 1 of
+    the frame (s, c, d), sample j into out[j] from rngs[j]; a model's
+    draw passes `_simplex_scalars(p)`.  Each row starts as normals g and
+    becomes cos(theta) mu + sin(theta) g', mu its center and g' the unit
+    part of g orthogonal to mu, a few rows at a time."""
     _, n, p = out.shape
     tbl, step = _cap_angle_table(p, float(eps)), max(1, _NORM_SCRATCH // p)
     scratch = np.empty((2, min(step, n), p))
@@ -458,8 +455,7 @@ def _cap_block(eps: float, rngs, out: np.ndarray, frame: np.ndarray) -> np.ndarr
         for b0 in range(0, n, step):
             g, at = x[b0 : b0 + step], slice(b0, b0 + step)
             mus, proj = scratch[:, : len(g)]
-            # "clip" lets take write into mus unbuffered; every label is in range
-            np.take(frame, labels[at], axis=0, out=mus, mode="clip")
+            _simplex_rows(labels[at], s, c, d, mus)
             dots = np.add.reduce(np.multiply(g, mus, out=proj), axis=1)
             g -= np.multiply(mus, dots[:, None], out=proj)
             g /= _norms(g)[:, None]
@@ -504,5 +500,5 @@ def _draw_block(model: ModelSpec, n: int, rngs, out: np.ndarray, normals=None) -
     if isinstance(model, AlphaSpherical):
         return _alpha_block(model, rngs, out)
     if isinstance(model, CapMixture):
-        return _cap_block(model.eps, rngs, out, _cached_frame(model.p))
+        return _cap_block(model.eps, rngs, out, *_simplex_scalars(model.p))
     raise DomainError(f"unknown model spec: {model!r}")

@@ -388,11 +388,14 @@ def test_mc_distance_alpha_spherical_large():
 
 
 def test_mc_distance_pinned_alpha_spherical_and_cap_mixture():
-    # recorded before these samplers drew in place; every draw keeps its floats
+    # recorded before these samplers drew in place; every draw keeps its
+    # floats.  The cap mixture's moved from 0.5283436047538226 when its
+    # centres came from the frame's three scalars, within 1.1e-16 of the
+    # Householder-built rows
     assert repr(estimate_distance_mc(AlphaSpherical(50, 1.0), 10**4, RngSeed(11))) == (
         "0.1397570982923115"
     )
-    assert repr(estimate_distance_mc(CapMixture(50), 10**4, RngSeed(11))) == "0.5283436047538226"
+    assert repr(estimate_distance_mc(CapMixture(50), 10**4, RngSeed(11))) == "0.5283436047538231"
 
 
 def test_mc_distance_needs_enough_pairs():

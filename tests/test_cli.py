@@ -211,7 +211,7 @@ def test_cmd_power_writes_csv_and_svg(tmp_path, capsys):
         "n": 25, "p": 25, "alpha": 0.05, "reps": 100,
         "model_family": "fvml", "signal_grid": [1.0, 2.0],
         "methods": ["sup_distance", "rayleigh"], "seed": 21,
-        "tails": None, "calibration": "asymptotic", "output_path": None,
+        "tails": None, "calibration": "asymptotic",
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -231,7 +231,7 @@ def test_cmd_power_same_seed_identical_files(tmp_path, capsys):
         "n": 25, "p": 25, "alpha": 0.05, "reps": 100,
         "model_family": "lowrank", "signal_grid": [4.0],
         "methods": ["sup_distance"], "seed": 7,
-        "tails": None, "calibration": "asymptotic", "output_path": None,
+        "tails": None, "calibration": "asymptotic",
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
@@ -254,12 +254,59 @@ def test_cmd_seed_defaults_to_sphuni_seed_except_power(tmp_path, monkeypatch, ca
         "n": 10, "p": 10, "alpha": 0.05, "reps": 100,
         "model_family": "lowrank", "signal_grid": [4.0],
         "methods": ["rayleigh"], "seed": 21,
-        "tails": None, "calibration": "asymptotic", "output_path": None,
+        "tails": None, "calibration": "asymptotic",
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["power", "--config", str(cfg_path), "--threads", "1"]) == 0
     assert " seed=21 " in capsys.readouterr().out
+
+
+def test_cmd_power_config_hash_ignores_out(tmp_path, capsys):
+    # --out changed the hash when the CSV path was a config field
+    cfg = {
+        "n": 10, "p": 10, "alpha": 0.05, "reps": 100,
+        "model_family": "lowrank", "signal_grid": [4.0],
+        "methods": ["rayleigh"], "seed": 21,
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    argv = ["power", "--config", str(cfg_path), "--threads", "1"]
+    lines = []
+    for extra in ([], ["--out", str(tmp_path / "a.csv")]):
+        assert main(argv + extra) == 0
+        lines.append(capsys.readouterr().out)
+    hashes = [line.split(" config_hash=")[1].split()[0] for line in lines]
+    assert hashes[0] == hashes[1]
+    assert (tmp_path / "a.csv").read_text().startswith("family,tau,method,rate")
+
+
+@pytest.mark.parametrize("argv", [
+    ["test", "--data"],
+    ["size", "--n", "10", "--p", "10", "--reps", "100"],
+    ["power", "--config", str(Path(__file__).resolve().parents[1] / "configs/fvml_fig1.json")],
+    ["nonlocal", "--kind", "alphaspherical", "--n", "10", "--p", "20", "--reps", "10"],
+], ids=["test", "size", "power", "nonlocal"])
+def test_cmd_negative_seed_exits_1(argv, tmp_path, capsys):
+    # each ended in numpy's SeedSequence ValueError, a traceback
+    if argv[0] == "test":
+        argv = argv + [str(_write_sample_csv(tmp_path / "x.csv"))]
+    rc = main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith(f"sphuni {argv[0]}: ")
+    assert "must be >= 0" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cmd_sphuni_seed_not_an_integer_exits_1(monkeypatch, capsys):
+    # int() of the variable raised ValueError outside the error handler
+    monkeypatch.setenv("SPHUNI_SEED", "abc")
+    rc = main(["test", "--data", "x.csv"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "sphuni test: SPHUNI_SEED must be an integer, got 'abc'\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("field, value", [

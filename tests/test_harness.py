@@ -58,7 +58,7 @@ def _cfg(**over):
 
 
 def test_config_json_roundtrip(tmp_path):
-    cfg = _cfg(tails={"rayleigh": "two-sided"}, output_path=None)
+    cfg = _cfg(tails={"rayleigh": "two-sided"})
     path = tmp_path / "cfg.json"
     path.write_text(cfg.to_json())
     back = load_config(path)
@@ -128,7 +128,9 @@ def test_config_json_fields_are_the_dataclass_fields():
 
 def test_config_hash_pinned():
     path = Path(__file__).resolve().parent.parent / "configs" / "fvml_fig1.json"
-    assert load_config(path).config_hash() == "73dc0c13869abff6"
+    # 73dc0c13869abff6 while the config carried "output_path": null; the
+    # CSV's path is no part of the experiment, so it left the hashed JSON
+    assert load_config(path).config_hash() == "d5e0acfe431e44b6"
 
 
 def test_config_invariants():
@@ -142,6 +144,9 @@ def test_config_invariants():
         _cfg(methods=("nope",))
     with pytest.raises(ConfigError, match="alpha"):
         _cfg(alpha=1.5)
+    # a negative seed ended in numpy's SeedSequence ValueError
+    with pytest.raises(ConfigError, match="field seed: must be >= 0, got -1"):
+        _cfg(seed=-1)
 
 
 def test_config_tails_key_must_be_a_method():
@@ -275,27 +280,22 @@ def test_power_curve_rejects_nonlocal_families():
 
 
 @pytest.mark.parametrize("threads", [0, -2])
-def test_experiments_reject_threads_below_one(threads, tmp_path):
-    # checked before any work: no curve, no CSV
-    out = tmp_path / "curve.csv"
+def test_experiments_reject_threads_below_one(threads):
     match = f"field threads: need >= 1, got {threads}"
     with pytest.raises(ConfigError, match=match):
-        run_power_curve(_cfg(output_path=str(out)), threads=threads)
+        run_power_curve(_cfg(), threads=threads)
     with pytest.raises(ConfigError, match=match):
         run_size_experiment(_cfg(model_family="uniform", signal_grid=(0.0,)), threads=threads)
     with pytest.raises(ConfigError, match=match):
         run_null_distribution_check(20, 20, 100, seed=5, threads=threads)
     with pytest.raises(ConfigError, match=match):
         run_nonlocal_experiment("alphaspherical", 10, 20, 0.05, 10, seed=1, threads=threads)
-    assert not out.exists()
 
 
 def test_power_curve_csv_identical_across_threads(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    cfg1 = _cfg(reps=120, output_path=str(p1))
-    cfg2 = _cfg(reps=120, output_path=str(p2))
-    run_power_curve(cfg1, threads=1)
-    run_power_curve(cfg2, threads=3)
+    export_csv(run_power_curve(_cfg(reps=120), threads=1), p1)
+    export_csv(run_power_curve(_cfg(reps=120), threads=3), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -304,8 +304,8 @@ def test_monte_carlo_power_curve_csv_pinned(tmp_path, threads):
     # all five methods, so projection's direction draw follows each sample
     path = tmp_path / "mc.csv"
     cfg = _cfg(n=12, p=8, reps=100, signal_grid=(0.0, 3.0), methods=METHODS,
-               calibration="monte-carlo", seed=29, output_path=str(path))
-    run_power_curve(cfg, threads=threads)
+               calibration="monte-carlo", seed=29)
+    export_csv(run_power_curve(cfg, threads=threads), path)
     assert path.read_text() == (
         "family,tau,method,rate,se,reps,seed\n"
         "fvml,0,sup_distance,0.1,0.03,100,29\n"

@@ -24,7 +24,14 @@ from sphuni import (
     signal_model,
     watson_marginal,
 )
-from sphuni.samplers import _cap_block, _draw_block, _marginal_table
+from sphuni import samplers
+from sphuni.samplers import (
+    _cap_angle_table,
+    _cap_block,
+    _draw_block,
+    _marginal_table,
+    _simplex_scalars,
+)
 
 
 def _null_cdf_callable(p):
@@ -46,6 +53,16 @@ def test_same_seed_bit_identical():
     np.testing.assert_array_equal(a.data, b.data)
 
 
+def test_negative_seed_raises_domain_error():
+    # a negative seed fell through to numpy's SeedSequence, whose
+    # ValueError is not a sphuni error
+    for master, stream in ((-1, 0), (3, -2)):
+        with pytest.raises(DomainError, match="must be >= 0"):
+            RngSeed(master, stream)
+    with pytest.raises(DomainError, match="must be >= 0"):
+        sample(Uniform(10), 10, -3)
+
+
 def test_different_stream_differs():
     a = sample(Uniform(10), 20, RngSeed(123, 0))
     b = sample(Uniform(10), 20, RngSeed(123, 1))
@@ -55,16 +72,19 @@ def test_different_stream_differs():
 # sha256 of the float64 bytes, recorded with numpy 2.4.6 and scipy 1.17.1
 # (x86-64, the OpenBLAS numpy bundles) before the samplers and the
 # pairwise layer were rewritten to work in place; a rewrite must leave
-# every stream where it was.  FvML, Watson, rotated low-rank and the
-# pairwise values pass through BLAS, whose kernels may round differently
-# on another CPU family.
+# every stream where it was.  FvML, Watson and the pairwise values pass
+# through BLAS, whose kernels may round differently on another CPU family.
+# The low-rank digest is of the unrotated draw, recorded before `LowRank`
+# lost its rotate option; the cap mixture's was recorded when its centres
+# were first written from the frame's three scalars, which moved its draws
+# by at most 1.1e-16 from those of the Householder-built frame.
 _STREAM_DIGESTS = {
     "Uniform": "f528cff637424688c5a4ba92b89d21222aef9c2165ef3febf94cb3740e2f2a81",
     "Fvml": "2d42f6840d8adfbde8edb11bb5e1aa0e2a9bc6aea6a12733f58c1706bf71591e",
     "Watson": "549af5f89ba87c5c9343f24ca1bf2608c64c174065abb436e311ad7c2d863099",
-    "LowRank": "2538b628c279e97c550ac9d75f11b8a380f1d70d29ee01999f3236e0bc32bbf5",
+    "LowRank": "f3c9f6fc0a4765a1b25877b94a41bc4dfca84b82da3c79bafbd0a30d8c7363a2",
     "AlphaSpherical": "bf22f2a48833b8b8e0f1923bf13710e43a34c42624734a958a6c6059020987a6",
-    "CapMixture": "573578ec998601497e150013ada71fc04743090e0c8e7f35d70d589f12ddfa9f",
+    "CapMixture": "68ea0dd8bc3c1838418a4b291c75580ce93764f77032c1123ce0710e63a1dd39",
 }
 _PAIRWISE_DIGEST = "9e78f7c9db558d9e08cd9928e0b2e3781e317e070f7abc2d86c8c4a5c860348b"
 
@@ -74,7 +94,7 @@ def _digest(arr):
 
 
 def test_sample_streams_unchanged():
-    models = (Uniform(25), Fvml(25, 6.0), Watson(25, 8.0), LowRank(25, 5, rotate=True),
+    models = (Uniform(25), Fvml(25, 6.0), Watson(25, 8.0), LowRank(25, 5),
               AlphaSpherical(25, 1.2), CapMixture(25))
     got = {type(m).__name__: _digest(sample(m, 40, RngSeed(2024, 3)).data) for m in models}
     assert got == _STREAM_DIGESTS
@@ -96,7 +116,6 @@ _BLOCK_MODELS = [
     Watson(30, 8.0),
     Fvml(30, 6.0, _unit_mu(30, 1, 1.0)),
     Watson(30, 8.0, _unit_mu(30, 2, -1.0)),  # mu[0] < 0: the other reflection
-    LowRank(30, 5, rotate=True),
     LowRank(30, 5),
     AlphaSpherical(30, 1.2),
     CapMixture(30),
@@ -105,7 +124,7 @@ _BLOCK_MODELS = [
 
 @pytest.mark.parametrize("model", _BLOCK_MODELS,
                          ids=["uniform", "fvml", "watson", "fvml-mu", "watson-mu-negative",
-                              "lowrank", "lowrank-unrotated", "alphaspherical", "capmixture"])
+                              "lowrank", "alphaspherical", "capmixture"])
 def test_draw_block_equals_blocks_of_one(model):
     # sample k of a block is a block of one bit for bit, and leaves its
     # generator where a block of one does: the next projection direction
@@ -304,16 +323,6 @@ def test_lowrank_embedding_zeros():
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
 
 
-def test_lowrank_rotate_preserves_inner_products():
-    s1 = sample(LowRank(20, 5, rotate=False), 40, RngSeed(59))
-    s2 = sample(LowRank(20, 5, rotate=True), 40, RngSeed(59))
-    assert not np.array_equal(s1.data, s2.data)
-    # same underlying k-sphere law either way
-    v1 = pairwise_inner_products(s1).values
-    v2 = pairwise_inner_products(s2).values
-    assert stats.ks_2samp(v1, v2).pvalue > 1e-4
-
-
 # ---------------------------------------------------------------------------
 # alpha-spherical draws
 
@@ -372,11 +381,73 @@ def test_simplex_frame_sums_to_zero():
     assert np.linalg.norm(frame.sum(axis=0)) < 1e-10
 
 
+def _householder_simplex_frame(p):
+    """The centered standard-basis simplex in R^{p+1}, rescaled to unit
+    norm, then reflected so the zero-sum hyperplane lands on the first p
+    coordinates: the (p+1)^2 construction the frame's scalars replace."""
+    m = p + 1
+    u = -np.full((m, m), 1.0 / m)
+    u[np.diag_indices(m)] += 1.0
+    u *= math.sqrt(m / p)
+    v = np.full(m, 1.0 / math.sqrt(m))
+    v[-1] -= 1.0
+    v /= np.linalg.norm(v)
+    return (u - 2.0 * np.outer(u @ v, v))[:, :p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 17, 600])
+def test_simplex_frame_is_the_householder_frame(p):
+    frame = build_simplex_frame(p)
+    assert frame.shape == (p + 1, p)
+    assert np.max(np.abs(frame - _householder_simplex_frame(p))) <= 1e-15
+    # sums of p + 1 terms: at p = 600 the norms and sums miss by 6e-15
+    gram = frame @ frame.T
+    np.testing.assert_allclose(np.diag(gram), 1.0, rtol=0, atol=1e-14)
+    off = gram[~np.eye(p + 1, dtype=bool)]
+    np.testing.assert_allclose(off, -1.0 / p, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(frame.sum(axis=0), 0.0, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("p, n", [(5, 7000), (600, 2000)])
+def test_cap_block_centres_are_frame_rows(monkeypatch, p, n):
+    # every chunk's centres are the floats of the frame's rows, the last
+    # row (label p) included
+    frame, seen, write = build_simplex_frame(p), [], samplers._simplex_rows
+
+    def spy(labels, *args):
+        rows = write(labels, *args)
+        seen.append((labels.copy(), rows.copy()))
+        return rows
+
+    monkeypatch.setattr(samplers, "_simplex_rows", spy)
+    _draw_rows(CapMixture(p), n, RngSeed(89).generator())
+    assert len(seen) > 1
+    labels = np.concatenate([lab for lab, _ in seen])
+    assert len(labels) == n and p in labels
+    for lab, rows in seen:
+        assert np.array_equal(rows, frame[lab])
+
+
+def test_cap_mixture_draw_allocates_no_frame():
+    # the centres come from three scalars: a first draw at p = 5000 had
+    # built (p+1)^2 Householder arrays and a (p+1) x p frame, 601 MB at peak
+    model = CapMixture(5000)
+    _cap_angle_table(model.p, model.eps)  # the one table a draw needs
+    tracemalloc.start()
+    try:
+        sample(model, 20, RngSeed(9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak
+
+
 def test_cap_mixture_geometry():
     p = 50
     eps = 1.0 / (4.0 * p)
     frame = build_simplex_frame(p)
-    xs = _cap_block(eps, [RngSeed(73).generator()], np.empty((1, 2000, p)), frame)[0]
+    xs = _cap_block(eps, [RngSeed(73).generator()], np.empty((1, 2000, p)),
+                    *_simplex_scalars(p))[0]
     # recover labels: caps are far narrower than the frame separation
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
@@ -401,7 +472,8 @@ def test_cap_mixture_moderate_width():
     # wider caps exercise the non-flat part of the rim density
     p, eps = 120, 0.3
     frame = build_simplex_frame(p)
-    xs = _cap_block(eps, [RngSeed(83).generator()], np.empty((1, 1000, p)), frame)[0]
+    xs = _cap_block(eps, [RngSeed(83).generator()], np.empty((1, 1000, p)),
+                    *_simplex_scalars(p))[0]
     labels = np.argmax(xs @ frame.T, axis=1)
     align = np.einsum("ij,ij->i", xs, frame[labels])
     assert np.all(np.arccos(np.clip(align, -1, 1)) <= eps * (1 + 1e-12))

@@ -213,13 +213,12 @@ def test_sup_null_distance_small_n_and_extreme_p(p):
 
 @pytest.mark.parametrize("p, eps", [(5, 0.3), (40, 0.05), (5000, None)])
 def test_sup_null_distance_cap_mixture_near_one(p, eps):
-    # every cap on one direction: all values sit near 1, in the table's last
-    # cells, and the sup is close to 1
+    # every cap on the unit diagonal (s = 0, c = d = 1/sqrt(p)): all values
+    # sit near 1, in the table's last cells, and the sup is close to 1
     eps = 1.0 / (4.0 * p) if eps is None else eps
-    frame = np.zeros((p + 1, p))
-    frame[:, 0] = 1.0
+    diagonal = (0.0, 1.0 / math.sqrt(p), 1.0 / math.sqrt(p))
     for n in (30, 150, 400):
-        rows = _cap_block(eps, [RngSeed(n).generator()], np.empty((1, n, p)), frame)[0]
+        rows = _cap_block(eps, [RngSeed(n).generator()], np.empty((1, n, p)), *diagonal)[0]
         v = pairwise_inner_products(make_unit_point_set(rows)).values
         got = sup_null_distance(v, p)
         assert got == _full(v, p)
@@ -261,11 +260,10 @@ def _row_kernel_rows(count, p, rng):
     yield np.sort(2.0 * special.betaincinv(a, a, rng.random(count)) - 1.0)
     yield _null_quantiles(count, p)
     n = int(math.ceil((1.0 + math.sqrt(1.0 + 8.0 * count)) / 2.0))
-    frame = np.zeros((p + 1, p))
-    frame[:, 0] = 1.0
+    diagonal = (0.0, 1.0 / math.sqrt(p), 1.0 / math.sqrt(p))  # every cap on one direction
     data = sample(Uniform(p), n, RngSeed(count)).data
     for rows in (
-        _cap_block(0.05, [RngSeed(count, 1).generator()], np.empty((1, n, p)), frame)[0],  # every value near 1
+        _cap_block(0.05, [RngSeed(count, 1).generator()], np.empty((1, n, p)), *diagonal)[0],  # every value near 1
         np.vstack([data[: n // 2 + 1], data[: n // 2 + 1]])[:n],  # every row twice
     ):
         v = pairwise_inner_products(make_unit_point_set(rows)).values
@@ -528,6 +526,9 @@ def test_run_test_fails_before_any_work():
         run_test(s, "projection", calibration="monte-carlo", rng=rng)
     with pytest.raises(DomainError, match="mc_seed"):
         run_test(s, "projection", calibration="monte-carlo", mc_seed=RngSeed(7, 3), rng=rng)
+    # a negative seed ended in numpy's SeedSequence ValueError
+    with pytest.raises(DomainError, match="mc_seed: must be >= 0, got -1"):
+        run_test(s, "projection", calibration="monte-carlo", mc_seed=-1, rng=rng)
     with pytest.raises(DomainError, match="mc_reps"):
         run_test(s, "projection", calibration="monte-carlo", mc_reps=0, mc_seed=7, rng=rng)
     assert rng.bit_generator.state == before
@@ -672,7 +673,7 @@ def _replicate_one_by_one(model, n, methods, reps, rng_of):
         (Uniform(80), 80),
         (Fvml(100, 3.0), 64),
         (Watson(100, 10.0), 64),
-        (LowRank(100, 10, rotate=True), 64),
+        (LowRank(100, 10), 64),
         (CapMixture(100), 64),
         (AlphaSpherical(100, 1.0), 64),
         (Fvml(100, 3.0, _unit_mu(100, 5, 1.0)), 64),
