@@ -116,6 +116,7 @@ _BLOCK_MODELS = [
     Watson(30, 8.0),
     Fvml(30, 6.0, _unit_mu(30, 1, 1.0)),
     Watson(30, 8.0, _unit_mu(30, 2, -1.0)),  # mu[0] < 0: the other reflection
+    LowRank(30, 30),  # full rank: the embedding leaves no zero column
     LowRank(30, 5),
     AlphaSpherical(30, 1.2),
     CapMixture(30),
@@ -124,7 +125,7 @@ _BLOCK_MODELS = [
 
 @pytest.mark.parametrize("model", _BLOCK_MODELS,
                          ids=["uniform", "fvml", "watson", "fvml-mu", "watson-mu-negative",
-                              "lowrank", "alphaspherical", "capmixture"])
+                              "lowrank", "lowrank-unrotated", "alphaspherical", "capmixture"])
 def test_draw_block_equals_blocks_of_one(model):
     # sample k of a block is a block of one bit for bit, and leaves its
     # generator where a block of one does: the next projection direction
