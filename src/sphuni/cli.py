@@ -35,7 +35,7 @@ from .harness import (
     signal_model,
 )
 from .points import load_points_csv
-from .samplers import AlphaSpherical, CapMixture, RngSeed
+from .samplers import AlphaSpherical, CapMixture, RngSeed, _master
 from .statistics import (
     CALIBRATIONS,
     METHODS,
@@ -236,6 +236,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    # checked here to name the flag, as size does, not the library's mc_seed
+    _master(args.seed, ConfigError, "field seed")
     crit = calibrate_critical_value_mc(args.n, args.p, args.method, args.alpha,
                                        args.reps, args.seed)
     print(_kv(command="calibrate", n=args.n, p=args.p, method=args.method,

@@ -58,8 +58,7 @@ class ExperimentConfig:
             raise ConfigError(f"field alpha: must be in (0, 1), got {self.alpha}")
         if self.reps < 100:
             raise ConfigError(f"field reps: need >= 100, got {self.reps}")
-        if self.seed < 0:
-            raise ConfigError(f"field seed: must be >= 0, got {self.seed}")
+        _master(self.seed, ConfigError, "field seed")
         if self.model_family not in _FAMILIES:
             raise ConfigError(f"field model_family: unknown family {self.model_family!r}")
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)

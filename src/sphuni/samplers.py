@@ -8,6 +8,7 @@ samples regardless of how many threads the caller runs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Union
@@ -130,8 +131,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):
-        if self.master < 0 or self.stream < 0:
-            raise DomainError(f"master and stream must be >= 0, got {self}")
+        _master(self.master, DomainError, "RngSeed master")
+        _master(self.stream, DomainError, "RngSeed stream")
 
     def generator(self) -> np.random.Generator:
         return np.random.default_rng(
@@ -140,10 +141,11 @@ class RngSeed:
 
 
 def _master(seed, error, field: str) -> int:
-    """The int master seed named by `seed`: an int, or an `RngSeed` of
-    stream 0.  Each replication of a seeded pass draws from its own stream
-    of the master, so any other stream, or a negative seed, raises `error`
-    naming `field`."""
+    """The int master seed named by `seed`: an int or a numpy integer, or
+    an `RngSeed` of stream 0.  Each replication of a seeded pass draws from
+    its own stream of the master, so any other stream raises `error`
+    naming `field`, as does a negative seed, or one that is not an integer:
+    int() would truncate a float and read a bool as 0 or 1."""
     if isinstance(seed, RngSeed):
         if seed.stream != 0:
             raise error(
@@ -151,15 +153,21 @@ def _master(seed, error, field: str) -> int:
                 f"so an RngSeed must have stream 0, got {seed}"
             )
         return seed.master
-    if int(seed) < 0:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise error(f"{field}: must be an integer, got {seed!r}")
+    if seed < 0:
         raise error(f"{field}: must be >= 0, got {seed}")
     return int(seed)
 
 
-def _as_rng(seed) -> np.random.Generator:
+def _as_rng(seed, field: str = "seed") -> np.random.Generator:
+    """The generator `seed` names: itself, an `RngSeed`'s, or that of the
+    integer master seed `seed`, which is checked as `_master` checks it."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return (seed if isinstance(seed, RngSeed) else RngSeed(int(seed))).generator()
+    if isinstance(seed, RngSeed):
+        return seed.generator()
+    return RngSeed(_master(seed, DomainError, field)).generator()
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +186,24 @@ class InverseCdfTable:
     """Monotone-cubic inverse CDF of a 1-D density on a refined grid.
 
     Built once per marginal and cached; lookup maps Uniform(0,1) draws
-    to samples.  The build re-knots a coarse mass profile at equal CDF
-    steps, then checks the inverse at every cell's mid-level against a
-    16-point quadrature of the cell and halves each cell that misses
-    `_TABLE_TOL`.  It stops after five passes (four halvings) whether or
-    not every cell met the tolerance, so `_TABLE_TOL` is an aim, not a
-    bound.  Measured against scipy's `quad` at every cell's mid-level,
-    the FvML p = 80, kappa = 80^{1/4} table (power-small's tau = 1) and
-    the Watson p = 600 table of the n = 400, tau = 2 curve miss it on
-    about 40 % of their ~9,000 cells: by at most 1.3e-8 at levels within
-    [1e-3, 1 - 1e-3], and by 1.7e-6 in the widest tail cells, which
-    began as one cell holding the whole tail below the first level step
-    of 1/4096 and were halved only four times.  A density too
-    concentrated for the table's grids on [lo, hi] raises DomainError:
-    one whose cell masses are not finite, whose knots cannot carry a
-    finite inverse slope, or whose mode a merged cell's rule misses.
+    to samples.  The interpolant is PCHIP, Fritsch and Butland's monotone
+    cubic with Moler's end slopes, in numpy (`_monotone_inverse`); a test
+    pins it to the floats of scipy's `PchipInterpolator`.  The build
+    re-knots a coarse mass profile at equal CDF steps, then checks the
+    inverse at every cell's mid-level against a 16-point quadrature of
+    the cell and halves each cell that misses `_TABLE_TOL`.  It stops
+    after five passes (four halvings) whether or not every cell met the
+    tolerance, so `_TABLE_TOL` is an aim, not a bound.  Measured against
+    scipy's `quad` at every cell's mid-level, the FvML p = 80, kappa =
+    80^{1/4} table (power-small's tau = 1) and the Watson p = 600 table
+    of the n = 400, tau = 2 curve miss it on about 40 % of their ~9,000
+    cells: by at most 1.3e-8 at levels within [1e-3, 1 - 1e-3], and by
+    1.7e-6 in the widest tail cells, which began as one cell holding the
+    whole tail below the first level step of 1/4096 and were halved only
+    four times.  A density too concentrated for the table's grids on
+    [lo, hi] raises DomainError: one whose cell masses are not finite,
+    whose knots cannot carry a finite inverse slope, or whose mode a
+    merged cell's rule misses.
     """
 
     def __init__(self, logpdf, lo: float, hi: float):
@@ -203,20 +214,21 @@ class InverseCdfTable:
         self.cdf = cdf
 
     @staticmethod
-    def _cell_masses(logpdf, lo, hi, shift):
-        # 16-point Gauss-Legendre on each cell [lo[i], hi[i]], vectorized
+    def _build_knots(logpdf, lo, hi, tol):
         xg, wg = np.polynomial.legendre.leggauss(16)
-        mid = 0.5 * (hi + lo)
-        half = 0.5 * (hi - lo)
-        tt = mid[:, None] + half[:, None] * xg[None, :]
-        ww = half[:, None] * wg[None, :]
-        return np.sum(ww * np.exp(logpdf(tt) - shift), axis=1)
 
-    def _build_knots(self, logpdf, lo, hi, tol):
+        def cell_masses(a, b):
+            # 16-point Gauss-Legendre on each cell [a[i], b[i]], vectorized
+            mid = 0.5 * (b + a)
+            half = 0.5 * (b - a)
+            tt = mid[:, None] + half[:, None] * xg[None, :]
+            ww = half[:, None] * wg[None, :]
+            return np.sum(ww * np.exp(logpdf(tt) - shift), axis=1)
+
         # pass 1: coarse mass profile on a uniform grid
         coarse = np.linspace(lo, hi, 1025)
         shift = float(np.max(logpdf(np.linspace(lo, hi, 4097))))
-        mass = self._cell_masses(logpdf, coarse[:-1], coarse[1:], shift)
+        mass = cell_masses(coarse[:-1], coarse[1:])
         cum = np.concatenate([[0.0], np.cumsum(mass)])
         if not 0.0 < cum[-1] < math.inf:
             raise DomainError(f"the density's mass on [{lo}, {hi}] is not a finite positive number")
@@ -230,7 +242,7 @@ class InverseCdfTable:
         # five passes at most, whatever the error left: more would move
         # every table, and so every draw, that stops short of tol now
         for attempt in range(5):
-            mass = self._cell_masses(logpdf, edges[:-1], edges[1:], shift)
+            mass = cell_masses(edges[:-1], edges[1:])
             cdf = np.concatenate([[0.0], np.cumsum(mass)])
             if merged is not None:
                 # a cell that absorbed zero-mass neighbours is integrated
@@ -259,9 +271,9 @@ class InverseCdfTable:
             # the true CDF (cell cdf plus a partial-cell quadrature)
             invp = _monotone_inverse(cdf, edges)
             midlev = 0.5 * (cdf[1:] + cdf[:-1])
-            that = np.asarray(invp(midlev))
+            that = invp(midlev)
             idx = np.clip(np.searchsorted(edges, that, side="right") - 1, 0, len(edges) - 2)
-            part = self._cell_masses(logpdf, edges[idx], that, shift)
+            part = cell_masses(edges[idx], that)
             err = np.abs(cdf[idx] + part / total - midlev)
             bad = err > tol
             if not np.any(bad):
@@ -276,19 +288,74 @@ class InverseCdfTable:
 
 
 def _monotone_inverse(cdf: np.ndarray, t: np.ndarray):
-    """The PCHIP interpolant of t against the increasing cdf.  Knots that
-    cannot carry one, which scipy rejects, raise DomainError: fewer than
-    two, a cdf that is not finite and increasing, or cdf steps so small
-    that the slopes overflow."""
-    from scipy.interpolate import PchipInterpolator  # loaded by the first table
-
+    """The PCHIP interpolant of t against the increasing cdf: Fritsch and
+    Butland's monotone cubic (SIAM J. Sci. Stat. Comput. 5(2), 1984) with
+    Moler's one-sided end slopes (Numerical Computing with MATLAB, 2004,
+    sec. 3.6), as scipy's `PchipInterpolator(cdf, t, extrapolate=False)`
+    builds and evaluates it; a test pins it to scipy's floats.  A level
+    outside [cdf[0], cdf[-1]], or NaN, maps to NaN.  Knots that cannot
+    carry one, which scipy rejects, raise DomainError: fewer than two, a
+    cdf that is not finite and strictly increasing, t not finite, or cdf
+    steps so small that the slopes overflow."""
+    x, y = np.asarray(cdf, dtype=float), np.asarray(t, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        try:
-            return PchipInterpolator(cdf, t, extrapolate=False)
-        except ValueError:
+        h = np.diff(x)
+        ok = len(x) >= 2 and np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(h > 0)
+        if ok:
+            m = np.diff(y) / h
+            d = _pchip_slopes(h, m)
+            ok = np.all(np.isfinite(d))
+        if not ok:
             raise DomainError(
                 f"{len(t)} knots on [{t[0]}, {t[-1]}] cannot carry a finite inverse CDF"
-            ) from None
+            )
+        # per cell: its left knot, then CubicHermiteSpline's coefficients of
+        # s^0 (plus the 0 its evaluation starts from), s^1, s^2 and s^3;
+        # the NaN columns 0 and -1 answer levels below and above the knots
+        cells = np.full((5, len(x) + 1), np.nan)
+        slope = (d[:-1] + d[1:] - 2 * m) / h
+        cells[:, 1:-1] = x[:-1], 0.0 + y[:-1], d[:-1], (m - d[:-1]) / h - slope, slope / h
+    # cell i holds [x[i], x[i+1]), the last cell [x[-2], x[-1]]: moving the
+    # last knot up one float puts x[-1] into it and anything above beyond it
+    right = x.copy()
+    right[-1] = np.nextafter(x[-1], math.inf)
+
+    def inverse(u):
+        u = np.asarray(u, dtype=float)
+        left, c0, c1, c2, c3 = np.take(cells, np.searchsorted(right, u, side="right"), axis=1)
+        # in scipy's order, c0 + c1 s + c2 (s s) + c3 (s s s), not Horner's
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = u - left
+            out = c1 * s
+            out += c0
+            power = s * s
+            out += c2 * power
+            power *= s
+            power *= c3
+            out += power
+        return out
+
+    return inverse
+
+
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """scipy's PCHIP slopes at the knots, from the steps h and secants m:
+    the weighted harmonic mean of the neighbouring secants where they share
+    a sign (0 where they do not), and at each end the one-sided three-point
+    estimate, 0 where its sign differs from the end secant's and 3 times
+    that secant where it exceeds it and the two end secants differ in sign."""
+    if len(m) == 1:
+        return np.array([m[0], m[0]])
+    sign = np.sign(m)
+    flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end = np.where(np.sign(end) != np.sign(m0), 0.0,
+                   np.where((np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0)),
+                            3.0 * m0, end))
+    return np.concatenate([end[:1], inner, end[1:]])
 
 
 @lru_cache(maxsize=64)
@@ -327,7 +394,7 @@ def _cap_angle_table(p: int, eps: float) -> InverseCdfTable:
 
 def sample_uniform_direction(p: int, rng) -> np.ndarray:
     """One uniform draw on S^{p-1}: a normalized standard Gaussian vector."""
-    rng = _as_rng(rng)
+    rng = _as_rng(rng, "rng")
     return _unit_normals(rng.standard_normal((1, 1, p)), [rng])[0, 0]
 
 

@@ -206,6 +206,16 @@ def test_cmd_calibrate_deterministic(capsys):
     assert "critical_value=" in first
 
 
+def test_cmd_calibrate_negative_seed_names_the_flag(capsys):
+    # the message named the library's mc_seed, not the --seed flag
+    rc = main(["calibrate", "--n", "10", "--p", "10", "--method", "rayleigh",
+               "--reps", "1000", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "sphuni calibrate: field seed: must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_cmd_power_writes_csv_and_svg(tmp_path, capsys):
     cfg = {
         "n": 25, "p": 25, "alpha": 0.05, "reps": 100,

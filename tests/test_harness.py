@@ -147,6 +147,13 @@ def test_config_invariants():
     # a negative seed ended in numpy's SeedSequence ValueError
     with pytest.raises(ConfigError, match="field seed: must be >= 0, got -1"):
         _cfg(seed=-1)
+    # a float seed was truncated, so 1.5 drew the seed-1 curve, and a
+    # string seed raised TypeError from the sign check
+    for seed in (1.5, True, "3"):
+        with pytest.raises(ConfigError, match=f"field seed: must be an integer, got {seed!r}"):
+            _cfg(seed=seed)
+    with pytest.raises(ConfigError, match="field seed: must be an integer, got 1.5"):
+        run_null_distribution_check(10, 10, 100, 1.5)
 
 
 def test_config_tails_key_must_be_a_method():

@@ -30,6 +30,7 @@ from sphuni.samplers import (
     _cap_block,
     _draw_block,
     _marginal_table,
+    _monotone_inverse,
     _simplex_scalars,
 )
 
@@ -61,6 +62,27 @@ def test_negative_seed_raises_domain_error():
             RngSeed(master, stream)
     with pytest.raises(DomainError, match="must be >= 0"):
         sample(Uniform(10), 10, -3)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, np.float64(3.0), np.bool_(True), "3"],
+                         ids=["float", "integral-float", "bool", "numpy-float", "numpy-bool", "str"])
+def test_seed_that_is_not_an_integer_raises_domain_error_naming_the_field(seed):
+    # int() truncated a float seed to the seed-1 sample, and read True as 1
+    with pytest.raises(DomainError, match=rf"^seed: must be an integer, got {re.escape(repr(seed))}$"):
+        sample(Uniform(5), 3, seed)
+    with pytest.raises(DomainError, match="^rng: must be an integer"):
+        sample_uniform_direction(5, seed)
+    # numpy's SeedSequence raised TypeError at generator()
+    with pytest.raises(DomainError, match="^RngSeed master: must be an integer"):
+        RngSeed(seed)
+    with pytest.raises(DomainError, match="^RngSeed stream: must be an integer"):
+        RngSeed(1, seed)
+
+
+def test_numpy_integer_seeds_draw_as_ints():
+    want = sample(Uniform(5), 3, RngSeed(3, 2)).data
+    np.testing.assert_array_equal(sample(Uniform(5), 3, RngSeed(np.uint8(3), np.int32(2))).data, want)
+    np.testing.assert_array_equal(sample(Uniform(5), 3, np.int64(7)).data, sample(Uniform(5), 3, 7).data)
 
 
 def test_different_stream_differs():
@@ -552,6 +574,69 @@ def test_inverse_cdf_table_error_after_five_passes(family, n, p, tau):
     inner = (levels > 1e-3) & (levels < 1.0 - 1e-3)
     assert np.max(err[inner]) < 2e-8
     assert np.max(err) < 2e-6
+
+
+def _pchip_knot_sets():
+    # the power-small and power-large tables, then seeded random knot sets:
+    # increasing t as a table has, t of both signs, and t with flat runs
+    sets = []
+    for family, n, p, taus in (("fvml", 80, 80, (0.5, 1.0, 1.5, 2.0)), ("watson", 400, 600, (2.0,))):
+        for tau in taus:
+            model = signal_model(family, n, p, tau)
+            tbl = _marginal_table(p, model.kappa, model.power)
+            sets.append((tbl.cdf, tbl.knots))
+    rng = np.random.default_rng(24)
+    for k in range(600):
+        m = int(rng.integers(2, 40))
+        cdf = np.cumsum(rng.random(m) + 1e-3) * rng.choice([1e-6, 1.0, 1e3])
+        t = np.cumsum(rng.random(m)) if k % 3 == 0 else rng.standard_normal(m)
+        if k % 3 == 2:
+            t = np.round(t)
+        sets.append((cdf - cdf[0] * (k % 2), t))
+    return sets
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_monotone_inverse_equals_scipy_pchip_float_for_float():
+    # the tables' interpolant is scipy's PchipInterpolator rebuilt on numpy
+    # alone; scipy stays its oracle here, sign of zero included
+    from scipy.interpolate import PchipInterpolator
+
+    rng = np.random.default_rng(7)
+    for cdf, t in _pchip_knot_sets():
+        lo, hi = cdf[0], cdf[-1]
+        q = np.concatenate([
+            rng.uniform(lo, hi, 20000 if len(cdf) > 1000 else 200),
+            cdf, 0.5 * (cdf[1:] + cdf[:-1]),
+            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), lo - 1.0, hi + 1.0,
+             -0.0, np.nan, np.inf, -np.inf],
+        ])
+        got = _monotone_inverse(cdf, t)(q)
+        want = PchipInterpolator(cdf, t, extrapolate=False)(q)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(_monotone_inverse(cdf, t)(q[:12].reshape(3, 4)), want[:12].reshape(3, 4),
+                              equal_nan=True)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cdf, t", [
+    ([0.0], [1.0]),
+    ([0.0, np.nan, 1.0], [0.0, 0.5, 1.0]),
+    ([0.0, np.inf], [0.0, 1.0]),
+    ([0.0, 0.5, 0.5, 1.0], [0.0, 0.4, 0.6, 1.0]),
+    ([0.0, 0.6, 0.5, 1.0], [0.0, 0.4, 0.6, 1.0]),
+    ([0.0, 0.5, 1.0], [0.0, np.inf, 1.0]),
+    ([0.0, 1e-320, 1.0], [0.0, 1.0, 2.0]),
+], ids=["one-knot", "nan-cdf", "inf-cdf", "flat-cdf", "decreasing-cdf", "inf-t", "slope-overflow"])
+def test_monotone_inverse_rejects_what_scipy_rejects(cdf, t):
+    from scipy.interpolate import PchipInterpolator
+
+    cdf, t = np.array(cdf), np.array(t)
+    with np.errstate(all="ignore"), pytest.raises(ValueError):
+        PchipInterpolator(cdf, t, extrapolate=False)
+    with pytest.raises(DomainError, match="cannot carry a finite inverse CDF"):
+        _monotone_inverse(cdf, t)
 
 
 @pytest.mark.parametrize("kappa", [2e5, 1e6, 5e6])

@@ -529,6 +529,8 @@ def test_run_test_fails_before_any_work():
     # a negative seed ended in numpy's SeedSequence ValueError
     with pytest.raises(DomainError, match="mc_seed: must be >= 0, got -1"):
         run_test(s, "projection", calibration="monte-carlo", mc_seed=-1, rng=rng)
+    with pytest.raises(DomainError, match="mc_seed: must be an integer, got 7.5"):
+        run_test(s, "projection", calibration="monte-carlo", mc_seed=7.5, rng=rng)
     with pytest.raises(DomainError, match="mc_reps"):
         run_test(s, "projection", calibration="monte-carlo", mc_reps=0, mc_seed=7, rng=rng)
     assert rng.bit_generator.state == before
