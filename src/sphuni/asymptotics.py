@@ -24,7 +24,7 @@ from .distributions import (
     packing_gumbel_quantile,
 )
 from .errors import DomainError
-from .samplers import LowRank, ModelSpec, Uniform, _as_rng, _Tilt, sample
+from .samplers import LowRank, ModelSpec, Uniform, _as_rng, _integer, _Tilt, sample
 from .statistics import _MONOTONE_SLACK, sup_null_distance
 
 FVML_SHIFT = "fvml"
@@ -205,7 +205,7 @@ def distance_from_uniformity(model: ModelSpec, grid_size: int = 4096) -> float:
     block with one matrix-vector product.  A row's float depends only on
     its block, so the distance does not depend on the number of CPUs.
     """
-    if grid_size < 2:
+    if _integer(grid_size, DomainError, "grid_size") < 2:
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     null = Uniform(model.p)
 
@@ -253,6 +253,7 @@ def distance_from_uniformity(model: ModelSpec, grid_size: int = 4096) -> float:
 def estimate_distance_mc(model: ModelSpec, pairs: int, seed) -> float:
     """Monte Carlo estimate of the distance: sup over jump points of
     |empirical CDF of `pairs` sampled inner products - null CDF|."""
+    pairs = _integer(pairs, DomainError, "pairs")
     if pairs < 10**4:
         raise DomainError("need pairs >= 1e4")
     rng = _as_rng(seed)

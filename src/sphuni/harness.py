@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .errors import BadTailError, ConfigError, InRegimeError, ParseError
-from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, _master
+from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, _integer, _master
 from .statistics import (
     BINGHAM,
     CALIBRATIONS,
@@ -52,13 +52,15 @@ class ExperimentConfig:
     calibration: str = "asymptotic"
 
     def __post_init__(self):
+        # the checked plain ints and float are stored: to_json cannot write numpy's
+        for name, size in zip(("n", "p", "reps"), _sizes(n=self.n, p=self.p, reps=self.reps)):
+            object.__setattr__(self, name, size)
         if self.n < 2 or self.p < 2:
             raise ConfigError(f"field n/p: need n >= 2 and p >= 2, got ({self.n}, {self.p})")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"field alpha: must be in (0, 1), got {self.alpha}")
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         if self.reps < 100:
             raise ConfigError(f"field reps: need >= 100, got {self.reps}")
-        _master(self.seed, ConfigError, "field seed")
+        object.__setattr__(self, "seed", _master(self.seed, ConfigError, "field seed"))
         if self.model_family not in _FAMILIES:
             raise ConfigError(f"field model_family: unknown family {self.model_family!r}")
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
@@ -78,6 +80,8 @@ class ExperimentConfig:
         object.__setattr__(self, "methods", methods)
         if PACKING in methods and self.n < 3:
             raise ConfigError(f"field n: the packing statistic needs n >= 3, got {self.n}")
+        if not isinstance(self.tails, (dict, type(None))):
+            raise ConfigError(f"field tails: must be a dict of method to tail, got {self.tails!r}")
         for meth, tail in (self.tails or {}).items():
             if meth not in methods:
                 raise ConfigError(f"field tails: {meth!r} is not one of methods {methods}")
@@ -102,6 +106,20 @@ class ExperimentConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+
+
+def _sizes(**sizes) -> tuple[int, ...]:
+    """Each of `sizes` as an int, checked by `_integer` and named as a field."""
+    return tuple(_integer(v, ConfigError, f"field {k}") for k, v in sizes.items())
+
+
+def _alpha(alpha) -> float:
+    """The level `alpha` as a float in (0, 1), else ConfigError naming the field."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ConfigError(f"field alpha: must be a number, got {alpha!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"field alpha: must be in (0, 1), got {alpha}")
+    return float(alpha)
 
 
 _CONFIG_FIELDS = {
@@ -254,7 +272,7 @@ def export_csv(result, path) -> None:
 
 def _check_threads(threads: int) -> None:
     """Every experiment runs its replications on `threads` >= 1 threads."""
-    if threads < 1:
+    if _integer(threads, ConfigError, "field threads") < 1:
         raise ConfigError(f"field threads: need >= 1, got {threads}")
 
 
@@ -297,6 +315,7 @@ def run_size_experiment(cfg: ExperimentConfig, threads: int = 1) -> PowerCurve:
 def run_null_distribution_check(n: int, p: int, reps: int, seed, threads: int = 1) -> float:
     """KS distance between the law of the standardized sup statistic over
     `reps` null replications and its Brownian-bridge limit."""
+    n, p, reps = _sizes(n=n, p=p, reps=reps)
     if reps < 100:
         raise ConfigError(f"field reps: need >= 100, got {reps}")
     _check_threads(threads)
@@ -355,8 +374,8 @@ def run_nonlocal_experiment(
     index as `model_param` (default 1.0).  The packing statistic needs
     n >= 3, and the standard error of |Rayleigh| needs reps >= 2.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"field alpha: must be in (0, 1), got {alpha}")
+    n, p, reps = _sizes(n=n, p=p, reps=reps)
+    alpha = _alpha(alpha)
     if reps < 2:
         raise ConfigError(f"field reps: need >= 2, got {reps}")
     _check_threads(threads)

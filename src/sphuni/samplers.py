@@ -2,7 +2,11 @@
 
 All samplers are pure functions of an explicit RNG state obtained from
 an RngSeed, so identical (master, stream) pairs give bit-identical
-samples regardless of how many threads the caller runs.
+samples regardless of how many threads the caller runs.  Every model
+draws in one frame (a tilt's mean direction is e1, a low-rank subsphere
+spans the first k coordinates): the package's statistics, distances and
+null laws are invariant under rotations, and `apply_rotation` orients a
+sample.
 """
 
 from __future__ import annotations
@@ -38,41 +42,35 @@ __all__ = [
 # model specifications
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Uniform:
     p: int
 
     def __post_init__(self):
+        _int_fields(self, "p")
         if self.p < 2:
             raise DomainError(f"need p >= 2, got {self.p}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Tilt:
-    """Exponential tilt exp(kappa (mu.x)^power) of the uniform law: one
-    spec for FvML (power 1) and Watson (power 2)."""
+    """Exponential tilt exp(kappa x_1^power) of the uniform law about the
+    mean direction e1: one spec for FvML (power 1) and Watson (power 2)."""
 
     p: int
     kappa: float
-    mu: np.ndarray | None = None
     power: ClassVar[int]
 
     def __post_init__(self):
+        _int_fields(self, "p")
         if self.p < 3:
             raise DomainError(f"need p >= 3, got {self.p}")
         if not (math.isfinite(self.kappa) and self.kappa >= 0):
             raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
-        if self.mu is not None:
-            mu = np.asarray(self.mu, dtype=float)
-            if mu.shape != (self.p,):
-                raise DomainError(f"mu must have shape ({self.p},)")
-            if abs(np.linalg.norm(mu) - 1.0) > 1e-8:
-                raise DomainError("mu must be unit-norm within 1e-8")
-            object.__setattr__(self, "mu", mu)
 
     @property
     def marginal(self) -> CoordinateMarginal:
-        """The law of mu.X, cached per (p, kappa, power)."""
+        """The law of X_1, cached per (p, kappa, power)."""
         return _marginal(self.p, float(self.kappa), self.power)
 
 
@@ -90,6 +88,7 @@ class LowRank:
     k: int
 
     def __post_init__(self):
+        _int_fields(self, "p", "k")
         if not 2 <= self.k <= self.p:
             raise DomainError(f"need 2 <= k <= p, got k={self.k}, p={self.p}")
 
@@ -100,6 +99,7 @@ class AlphaSpherical:
     alpha: float
 
     def __post_init__(self):
+        _int_fields(self, "p")
         if self.p < 2:
             raise DomainError(f"need p >= 2, got {self.p}")
         if not 0.0 < self.alpha < 2.0:
@@ -112,6 +112,7 @@ class CapMixture:
     eps: float | None = None
 
     def __post_init__(self):
+        _int_fields(self, "p")
         if self.p < 3:
             raise DomainError(f"need p >= 3, got {self.p}")
         if self.eps is None:
@@ -140,12 +141,26 @@ class RngSeed:
         )
 
 
+def _integer(value, error, field: str) -> int:
+    """`value` as an int when it is an int or a numpy integer; anything
+    else raises `error` naming `field`, since int() would truncate a float
+    and read a bool as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _int_fields(spec, *names: str) -> None:
+    """Store each field `names` of the frozen `spec` as an `_integer`."""
+    for name in names:
+        object.__setattr__(spec, name, _integer(getattr(spec, name), DomainError, name))
+
+
 def _master(seed, error, field: str) -> int:
-    """The int master seed named by `seed`: an int or a numpy integer, or
-    an `RngSeed` of stream 0.  Each replication of a seeded pass draws from
+    """The int master seed named by `seed`: an integer (`_integer`), or an
+    `RngSeed` of stream 0.  Each replication of a seeded pass draws from
     its own stream of the master, so any other stream raises `error`
-    naming `field`, as does a negative seed, or one that is not an integer:
-    int() would truncate a float and read a bool as 0 or 1."""
+    naming `field`, as does a negative seed, or one that is not an integer."""
     if isinstance(seed, RngSeed):
         if seed.stream != 0:
             raise error(
@@ -153,11 +168,10 @@ def _master(seed, error, field: str) -> int:
                 f"so an RngSeed must have stream 0, got {seed}"
             )
         return seed.master
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise error(f"{field}: must be an integer, got {seed!r}")
+    seed = _integer(seed, error, field)
     if seed < 0:
         raise error(f"{field}: must be >= 0, got {seed}")
-    return int(seed)
+    return seed
 
 
 def _as_rng(seed, field: str = "seed") -> np.random.Generator:
@@ -394,6 +408,7 @@ def _cap_angle_table(p: int, eps: float) -> InverseCdfTable:
 
 def sample_uniform_direction(p: int, rng) -> np.ndarray:
     """One uniform draw on S^{p-1}: a normalized standard Gaussian vector."""
+    p = _integer(p, DomainError, "p")
     rng = _as_rng(rng, "rng")
     return _unit_normals(rng.standard_normal((1, 1, p)), [rng])[0, 0]
 
@@ -412,15 +427,13 @@ def _unit_normals(x: np.ndarray, rngs) -> np.ndarray:
 
 
 def _tangent_normal_block(model: _Tilt, rngs, out: np.ndarray, normals) -> np.ndarray:
-    """Draws X = T mu + sqrt(1-T^2) W from the tilt `model` into every row
-    of `out` (B, n, p): T from its marginal, W uniform on the unit sphere
-    orthogonal to mu (e1 when mu is None), sample k from rngs[k].
+    """Draws X = (T, sqrt(1-T^2) W) from the tilt `model` into every row of
+    `out` (B, n, p): T from its marginal, W uniform on S^{p-2}, sample k
+    from rngs[k].
 
     Sample k draws its n uniforms and then its tangent normals into
     `normals[k]` (B, n, p - 1); the table lookup, the normalisations and
-    the tangent map then run once over the block.  With mu given, W is
-    the reflection exchanging e1 and -/+mu of the row [0, w]; with mu =
-    e1 that reflection fixes the row, so W is [0, w] itself."""
+    the tangent map then run once over the block, elementwise."""
     b, n, p = out.shape
     u = np.empty((b, n))
     for rng, uk, wk in zip(rngs, u, normals):
@@ -428,23 +441,8 @@ def _tangent_normal_block(model: _Tilt, rngs, out: np.ndarray, normals) -> np.nd
         rng.standard_normal(out=wk)
     t = np.asarray(_marginal_table(p, float(model.kappa), model.power)(u))
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, 1.0))[..., None]
-    w = _unit_normals(normals, rngs)
-    if model.mu is None:
-        out[..., 0] = t
-        np.multiply(w, s, out=out[..., 1:])
-    else:
-        mu = model.mu
-        sign = 1.0 if mu[0] >= 0 else -1.0
-        v = mu.copy()
-        v[0] += sign  # v = mu + sign*e1; reflection sends e1 -> -sign*mu
-        vnorm2 = 2.0 * (1.0 + sign * mu[0])
-        out[..., 0] = 0.0
-        out[..., 1:] = w
-        # numpy runs one matrix-vector product per sample, as for a block of one
-        coef = (out @ v) * (2.0 / vnorm2)
-        out -= coef[..., None] * v
-        out *= s
-        out += t[..., None] * mu
+    out[..., 0] = t
+    np.multiply(_unit_normals(normals, rngs), s, out=out[..., 1:])
     out /= _norms(out)[..., None]
     return out
 
@@ -499,7 +497,7 @@ def _simplex_rows(labels: np.ndarray, s: float, c: float, d: float, out: np.ndar
 
 def build_simplex_frame(p: int) -> np.ndarray:
     """(p+1) unit vectors in R^p with pairwise inner products -1/p."""
-    if p < 3:
+    if _integer(p, DomainError, "p") < 3:
         raise DomainError(f"need p >= 3, got {p}")
     return _simplex_rows(np.arange(p + 1), *_simplex_scalars(p), np.empty((p + 1, p)))
 
@@ -509,8 +507,8 @@ def _cap_block(eps: float, rngs, out: np.ndarray, s: float, c: float, d: float) 
     radius eps centered on the p + 1 rows s e_i + c 1 (i < p) and d 1 of
     the frame (s, c, d), sample j into out[j] from rngs[j]; a model's
     draw passes `_simplex_scalars(p)`.  Each row starts as normals g and
-    becomes cos(theta) mu + sin(theta) g', mu its center and g' the unit
-    part of g orthogonal to mu, a few rows at a time."""
+    becomes cos(theta) m + sin(theta) g', m its center and g' the unit
+    part of g orthogonal to m, a few rows at a time."""
     _, n, p = out.shape
     tbl, step = _cap_angle_table(p, float(eps)), max(1, _NORM_SCRATCH // p)
     scratch = np.empty((2, min(step, n), p))
@@ -521,13 +519,13 @@ def _cap_block(eps: float, rngs, out: np.ndarray, s: float, c: float, d: float) 
         rng.standard_normal(out=x)
         for b0 in range(0, n, step):
             g, at = x[b0 : b0 + step], slice(b0, b0 + step)
-            mus, proj = scratch[:, : len(g)]
-            _simplex_rows(labels[at], s, c, d, mus)
-            dots = np.add.reduce(np.multiply(g, mus, out=proj), axis=1)
-            g -= np.multiply(mus, dots[:, None], out=proj)
+            centres, proj = scratch[:, : len(g)]
+            _simplex_rows(labels[at], s, c, d, centres)
+            dots = np.add.reduce(np.multiply(g, centres, out=proj), axis=1)
+            g -= np.multiply(centres, dots[:, None], out=proj)
             g /= _norms(g)[:, None]
             g *= sin[at]
-            g += np.multiply(mus, cos[at], out=mus)
+            g += np.multiply(centres, cos[at], out=centres)
             g /= _norms(g)[:, None]
     return out
 
@@ -538,6 +536,7 @@ def _cap_block(eps: float, rngs, out: np.ndarray, s: float, c: float, d: float) 
 
 def sample(model: ModelSpec, n: int, seed) -> UnitPointSet:
     """n i.i.d. draws from `model`, wrapped as a UnitPointSet."""
+    n = _integer(n, DomainError, "n")
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     x = _draw_block(model, n, [_as_rng(seed)], np.empty((1, n, model.p)))

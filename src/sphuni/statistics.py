@@ -22,7 +22,7 @@ from .distributions import (
 )
 from .errors import BadTailError, CalibrationUnavailableError, DomainError
 from .points import InnerProductList, UnitPointSet, _row_norms, _sorted_pairs
-from .samplers import RngSeed, Uniform, _draw_block, _master, sample_uniform_direction
+from .samplers import RngSeed, Uniform, _draw_block, _integer, _master, sample_uniform_direction
 
 SUP_DISTANCE = "sup_distance"
 RAYLEIGH = "rayleigh"
@@ -236,7 +236,7 @@ def _replicate(
     so the result depends neither on B nor on `threads`; with
     `threads > 1` a thread pool scores the blocks.
     """
-    if n < 2:
+    if _integer(n, DomainError, "n") < 2:
         raise DomainError(f"need n >= 2, got {n}")
     p = model.p
     size = max(1, min(_REP_BLOCK_ELEMS // (n * max(n, p)), -(-reps // max(1, threads))))
@@ -447,7 +447,7 @@ def _run_tests(
 def _mc_master(reps: int, seed) -> int:
     """The master seed of a Monte Carlo null pass of `reps` replications,
     whose replication r draws from `RngSeed(master, r)`."""
-    if reps < 1:
+    if _integer(reps, DomainError, "mc_reps") < 1:
         raise DomainError(f"mc_reps must be >= 1, got {reps}")
     return _master(seed, DomainError, "mc_seed")
 
@@ -514,7 +514,7 @@ def _null_statistics(
     its pass.
     """
     master = _mc_master(reps, seed)
-    if threads < 1:
+    if _integer(threads, DomainError, "threads") < 1:
         raise DomainError(f"threads: need >= 1, got {threads}")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
@@ -541,11 +541,12 @@ def calibrate_critical_value_mc(
     The replications are those of `run_test`'s Monte Carlo calibration,
     memoised by (n, p, reps, master seed, method): only the first call
     for a key scores them."""
-    if reps < 1000:
+    if _integer(reps, DomainError, "reps") < 1000:
         raise DomainError("calibration needs reps >= 1000")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
-    stats = _null_statistics(n, p, (method,), reps, seed)[method]
+    master = _master(seed, DomainError, "seed")
+    stats = _null_statistics(n, p, (method,), reps, master)[method]
     return float(np.quantile(stats, 1.0 - alpha, method="higher"))
 
 

@@ -398,6 +398,17 @@ def test_mc_distance_pinned_alpha_spherical_and_cap_mixture():
     assert repr(estimate_distance_mc(CapMixture(50), 10**4, RngSeed(11))) == "0.5283436047538231"
 
 
+@pytest.mark.parametrize("call, field", [
+    (lambda: estimate_distance_mc(Uniform(5), 10000.5, 1), "pairs"),
+    (lambda: distance_from_uniformity(Fvml(10, 1.0), grid_size=100.5), "grid_size"),
+    (lambda: distance_from_uniformity(Fvml(10, 1.0), grid_size=True), "grid_size"),
+], ids=["mc-pairs", "grid-size", "grid-size-bool"])
+def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, field):
+    # both passed the range check and failed inside numpy with a TypeError
+    with pytest.raises(DomainError, match=rf"^{field}: must be an integer, got "):
+        call()
+
+
 def test_mc_distance_needs_enough_pairs():
     with pytest.raises(DomainError):
         estimate_distance_mc(Uniform(10), 100, RngSeed(0))

@@ -156,6 +156,45 @@ def test_config_invariants():
         run_null_distribution_check(10, 10, 100, 1.5)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: _cfg(n=20.5), "field n: must be an integer, got 20.5"),
+    (lambda: _cfg(p=np.float64(30)), "field p: must be an integer, got "),
+    (lambda: _cfg(reps=100.5), "field reps: must be an integer, got 100.5"),
+    (lambda: _cfg(alpha="0.05"), "field alpha: must be a number, got '0.05'"),
+    (lambda: _cfg(tails=["x"]), r"field tails: must be a dict of method to tail, got \['x'\]"),
+    (lambda: run_null_distribution_check(10.5, 10, 100, 1), "field n: must be an integer"),
+    (lambda: run_null_distribution_check(10, 10, 100.0, 1), "field reps: must be an integer"),
+    (lambda: run_null_distribution_check(10, 10, 100, 1, threads=1.5),
+     "field threads: must be an integer"),
+    (lambda: run_nonlocal_experiment("alphaspherical", 20.5, 400, 0.05, 10, seed=1),
+     "field n: must be an integer"),
+    (lambda: run_nonlocal_experiment("alphaspherical", 20, 400.0, 0.05, 10, seed=1),
+     "field p: must be an integer"),
+    (lambda: run_nonlocal_experiment("alphaspherical", 20, 400, 0.05, 10.5, seed=1),
+     "field reps: must be an integer"),
+    (lambda: run_nonlocal_experiment("alphaspherical", 20, 400, "0.05", 10, seed=1),
+     "field alpha: must be a number"),
+], ids=["config-n", "config-p", "config-reps", "config-alpha", "config-tails",
+        "nulldist-n", "nulldist-reps", "nulldist-threads", "nonlocal-n", "nonlocal-p",
+        "nonlocal-reps", "nonlocal-alpha"])
+def test_bad_size_or_level_raises_config_error_naming_the_field(call, message):
+    # the config accepted these and run_power_curve raised inside numpy,
+    # or they raised numpy's TypeError, or Python's from `tails.items()`
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        call()
+
+
+def test_numpy_number_config_hashes_like_its_python_twin():
+    # numpy integers passed the checks and then broke to_json
+    cfg = _cfg(n=np.int64(30), p=np.int32(30), alpha=np.float32(0.25), reps=np.int64(150),
+               seed=np.int64(77))
+    twin = _cfg(alpha=float(np.float32(0.25)))
+    assert cfg == twin
+    assert (cfg.to_json(), cfg.config_hash()) == (twin.to_json(), twin.config_hash())
+    assert type(cfg.seed) is int and type(cfg.alpha) is float
+    assert _cfg(seed=RngSeed(77)).config_hash() == _cfg().config_hash()
+
+
 def test_config_tails_key_must_be_a_method():
     with pytest.raises(ConfigError, match="field tails: 'bingham'"):
         _cfg(tails={"rayleigh": "upper", "bingham": "upper"})

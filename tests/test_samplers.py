@@ -16,6 +16,7 @@ from sphuni import (
     RngSeed,
     Uniform,
     Watson,
+    apply_rotation,
     build_simplex_frame,
     null_inner_cdf,
     pairwise_inner_products,
@@ -124,20 +125,10 @@ def test_sample_streams_unchanged():
     assert _digest(ip.values) == _PAIRWISE_DIGEST
 
 
-def _unit_mu(p, seed, first_sign):
-    """A unit mean direction whose first coordinate has the sign `first_sign`,
-    which picks the tilt's Householder reflection."""
-    mu = np.random.default_rng(seed).standard_normal(p)
-    mu[0] = first_sign * abs(mu[0])
-    return mu / np.linalg.norm(mu)
-
-
 _BLOCK_MODELS = [
     Uniform(30),
     Fvml(30, 6.0),
     Watson(30, 8.0),
-    Fvml(30, 6.0, _unit_mu(30, 1, 1.0)),
-    Watson(30, 8.0, _unit_mu(30, 2, -1.0)),  # mu[0] < 0: the other reflection
     LowRank(30, 30),  # full rank: the embedding leaves no zero column
     LowRank(30, 5),
     AlphaSpherical(30, 1.2),
@@ -146,8 +137,8 @@ _BLOCK_MODELS = [
 
 
 @pytest.mark.parametrize("model", _BLOCK_MODELS,
-                         ids=["uniform", "fvml", "watson", "fvml-mu", "watson-mu-negative",
-                              "lowrank", "lowrank-unrotated", "alphaspherical", "capmixture"])
+                         ids=["uniform", "fvml", "watson", "lowrank", "lowrank-unrotated",
+                              "alphaspherical", "capmixture"])
 def test_draw_block_equals_blocks_of_one(model):
     # sample k of a block is a block of one bit for bit, and leaves its
     # generator where a block of one does: the next projection direction
@@ -256,23 +247,19 @@ def test_fvml_and_watson_sample_at_p3():
 
 def test_watson_projection_moment_matches_quadrature():
     p, kappa, m = 600, 150.0, 100000
-    mu = np.zeros(p)
-    mu[0] = 1.0
     marg = watson_marginal(kappa, p)
-    xs = _draw_rows(Watson(p, kappa, mu), m, RngSeed(23).generator())
-    t2 = (xs @ mu) ** 2
+    xs = _draw_rows(Watson(p, kappa), m, RngSeed(23).generator())
+    t2 = xs[:, 0] ** 2
     want = marg.moment(2)
     se = np.std(t2, ddof=1) / math.sqrt(m)
     assert abs(t2.mean() - want) <= 3.0 * se
 
 
 def test_watson_projection_ks_against_quadrature_marginal():
-    # empirical law of mu.X vs the tabulated marginal CDF: KS <= 2/sqrt(M)
+    # empirical law of X_1 vs the tabulated marginal CDF: KS <= 2/sqrt(M)
     p, kappa, m = 600, 150.0, 100000
-    mu = np.zeros(p)
-    mu[0] = 1.0
-    xs = _draw_rows(Watson(p, kappa, mu), m, RngSeed(97).generator())
-    proj = np.sort(xs @ mu)
+    xs = _draw_rows(Watson(p, kappa), m, RngSeed(97).generator())
+    proj = np.sort(xs[:, 0])
     tbl = _marginal_table(p, kappa, 2)
     cdf_at = np.interp(proj, tbl.knots, tbl.cdf)
     i = np.arange(1, m + 1)
@@ -282,18 +269,14 @@ def test_watson_projection_ks_against_quadrature_marginal():
 
 def test_fvml_kappa_zero_projection_follows_null_coordinate_law():
     p, m = 40, 20000
-    mu = np.zeros(p)
-    mu[3] = 1.0
-    xs = _draw_rows(Fvml(p, 0.0, mu), m, RngSeed(29).generator())
-    res = stats.kstest(xs @ mu, _null_cdf_callable(p))
+    xs = _draw_rows(Fvml(p, 0.0), m, RngSeed(29).generator())
+    res = stats.kstest(xs[:, 0], _null_cdf_callable(p))
     assert res.pvalue > 0.01
 
 
 def test_tangent_component_rotation_invariant():
     p, m = 30, 40000
-    mu = np.zeros(p)
-    mu[0] = 1.0
-    xs = _draw_rows(Fvml(p, 6.0, mu), m, RngSeed(31).generator())
+    xs = _draw_rows(Fvml(p, 6.0), m, RngSeed(31).generator())
     # projections onto two fixed orthogonal tangent directions
     a, b = xs[:, 1], xs[:, 2]
     corr = np.corrcoef(a, b)[0, 1]
@@ -301,23 +284,27 @@ def test_tangent_component_rotation_invariant():
     assert abs(a.mean()) <= 3.0 * a.std(ddof=1) / math.sqrt(m)
 
 
-def test_tangent_normal_unit_and_mu_checked():
-    p = 12
-    mu = np.zeros(p)
-    mu[0] = 1.0
-    xs = _draw_rows(Fvml(p, 3.0, mu), 100, RngSeed(37).generator())
+def test_tangent_normal_rows_unit():
+    xs = _draw_rows(Fvml(12, 3.0), 100, RngSeed(37).generator())
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
-    with pytest.raises(DomainError):
-        Fvml(p, 3.0, mu * 2)
 
 
-def test_negative_mu_first_coordinate_householder_branch():
+@pytest.mark.parametrize("first_sign", [1.0, -1.0], ids=["mu1-positive", "mu1-negative"])
+def test_apply_rotation_orients_a_tilt_about_mu(first_sign):
+    # a spec draws about e1; the Householder reflection H = I - 2 v v'/(v'v),
+    # v = e1 - mu, sends e1 to mu, so H X has mu.(H X) = X_1 for every row
     p = 9
-    mu = np.zeros(p)
-    mu[0] = -1.0
-    xs = _draw_rows(Fvml(p, 5.0, mu), 4000, RngSeed(41).generator())
+    mu = np.random.default_rng(41).standard_normal(p)
+    mu[0] = first_sign * abs(mu[0])
+    mu /= np.linalg.norm(mu)
+    v = np.eye(p)[0] - mu
+    h = np.eye(p) - 2.0 * np.outer(v, v) / (v @ v)
+    s = sample(Fvml(p, 5.0), 4000, RngSeed(41))
+    xs = apply_rotation(s, h).data
+    proj = xs @ mu
+    np.testing.assert_allclose(proj, s.data[:, 0], rtol=0, atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, atol=1e-12)
-    assert (xs @ mu).mean() > 0.2  # concentrates around mu, not -mu
+    assert proj.mean() > 0.2  # concentrates around mu, not -mu
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +506,49 @@ def test_model_validation():
         AlphaSpherical(10, 2.0)
     with pytest.raises(DomainError):
         CapMixture(10, 1.0)
-    mu_bad = np.ones(10)
-    with pytest.raises(DomainError):
-        Fvml(10, 1.0, mu_bad)
+
+
+@pytest.mark.parametrize("spec, args, other", [
+    (Uniform, (5,), (6,)),
+    (Fvml, (5, 1.0), (5, 2.0)),
+    (Watson, (5, 1.0), (6, 1.0)),
+    (LowRank, (5, 3), (5, 4)),
+    (AlphaSpherical, (5, 1.2), (5, 1.5)),
+    (CapMixture, (10,), (10, 0.01)),
+], ids=["uniform", "fvml", "watson", "lowrank", "alphaspherical", "capmixture"])
+def test_specs_compare_and_hash_by_value(spec, args, other):
+    # a tilt carried an optional mu array, so its specs compared by identity
+    a, b = spec(*args), spec(*args)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != spec(*other)
+    assert spec(np.int64(args[0]), *args[1:]) == a
+    assert Fvml(5, 1.0) != Watson(5, 1.0)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: Uniform(5.5), "p"),
+    (lambda: Fvml(80.0, 1.0), "p"),
+    (lambda: Watson(True, 1.0), "p"),
+    (lambda: LowRank(10, 4.5), "k"),
+    (lambda: LowRank(np.float64(10), 4), "p"),
+    (lambda: AlphaSpherical(5.5, 1.0), "p"),
+    (lambda: CapMixture(10.5), "p"),
+    (lambda: sample(Uniform(5), 3.5, 1), "n"),
+    (lambda: sample_uniform_direction(5.0, 1), "p"),
+    (lambda: build_simplex_frame(5.0), "p"),
+], ids=["uniform", "fvml", "watson-bool", "lowrank-k", "lowrank-p", "alphaspherical",
+        "capmixture", "sample-n", "direction-p", "simplex-p"])
+def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, field):
+    # the specs accepted these and their first draw raised numpy's TypeError
+    with pytest.raises(DomainError, match=rf"^{field}: must be an integer, got "):
+        call()
+
+
+def test_numpy_integer_sizes_are_stored_as_ints():
+    spec = LowRank(np.int64(10), np.uint8(4))
+    assert (type(spec.p), type(spec.k), repr(spec)) == (int, int, "LowRank(p=10, k=4)")
+    want = sample(Uniform(5), 3, 1).data
+    np.testing.assert_array_equal(sample(Uniform(np.int32(5)), np.int64(3), 1).data, want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

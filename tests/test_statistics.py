@@ -53,7 +53,6 @@ from sphuni.statistics import (
     _sup_null_rows,
     p_values,
 )
-from test_samplers import _unit_mu
 
 
 def _rand_sample(n, p, seed):
@@ -678,11 +677,8 @@ def _replicate_one_by_one(model, n, methods, reps, rng_of):
         (LowRank(100, 10), 64),
         (CapMixture(100), 64),
         (AlphaSpherical(100, 1.0), 64),
-        (Fvml(100, 3.0, _unit_mu(100, 5, 1.0)), 64),
-        (Watson(100, 10.0, _unit_mu(100, 6, -1.0)), 64),
     ],
-    ids=["uniform", "fvml", "watson", "lowrank", "capmixture", "alphaspherical",
-         "fvml-mu", "watson-mu-negative"],
+    ids=["uniform", "fvml", "watson", "lowrank", "capmixture", "alphaspherical"],
 )
 def test_replicate_equals_per_sample_loop(model, n, threads):
     # B replications share a block; reps cover one, a partial and several blocks
@@ -725,11 +721,33 @@ def test_null_statistics_rejects_threads_below_one(threads):
         _null_statistics(10, 6, ("rayleigh",), 100, 1, threads)
 
 
+def test_calibration_names_its_own_seed():
+    # the seed was checked inside the null pass, as run_test's mc_seed
+    with pytest.raises(DomainError, match=r"^seed: must be an integer, got 1\.5$"):
+        calibrate_critical_value_mc(10, 10, "rayleigh", 0.05, 1000, 1.5)
+    with pytest.raises(DomainError, match="^seed: must be >= 0, got -1$"):
+        calibrate_critical_value_mc(10, 10, "rayleigh", 0.05, 1000, -1)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda s: run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=1000.5, mc_seed=1),
+     "mc_reps"),
+    (lambda s: calibrate_critical_value_mc(10, 6, "rayleigh", 0.05, 1000.5, 1), "reps"),
+    (lambda s: calibrate_critical_value_mc(10.5, 6, "rayleigh", 0.05, 1000, 1), "n"),
+    (lambda s: calibrate_critical_value_mc(10, 6.0, "rayleigh", 0.05, 1000, 1), "p"),
+    (lambda s: _null_statistics(10, 6, ("rayleigh",), 100, 1, 1.5), "threads"),
+], ids=["run-test-mc-reps", "calibrate-reps", "calibrate-n", "calibrate-p", "null-threads"])
+def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, field):
+    # each passed the range check and failed inside numpy with a TypeError
+    with pytest.raises(DomainError, match=rf"^{field}: must be an integer, got "):
+        call(_rand_sample(10, 6, 14))
+
+
 def test_null_statistics_rejects_seed_stream():
     s = _rand_sample(10, 6, 14)
     with pytest.raises(DomainError, match="mc_seed"):
         run_test(s, "rayleigh", calibration="monte-carlo", mc_reps=100, mc_seed=RngSeed(7, 3))
-    with pytest.raises(DomainError, match="mc_seed"):
+    with pytest.raises(DomainError, match="^seed: "):
         calibrate_critical_value_mc(10, 6, "rayleigh", 0.05, 1000, RngSeed(7, 1))
     with pytest.raises(DomainError, match="unknown method"):
         calibrate_critical_value_mc(10, 6, "gini", 0.05, 1000, 7)
