@@ -23,8 +23,8 @@ from .distributions import (
     packing_gumbel_cdf,
     packing_gumbel_quantile,
 )
-from .errors import DomainError
-from .samplers import LowRank, ModelSpec, Uniform, _as_rng, _integer, _Tilt, sample
+from .errors import DomainError, _integer, _real
+from .samplers import LowRank, ModelSpec, Uniform, _as_rng, _Tilt, sample
 from .statistics import _MONOTONE_SLACK, sup_null_distance
 
 FVML_SHIFT = "fvml"
@@ -47,7 +47,7 @@ class ShiftFunction:
     def __post_init__(self):
         if self.kind not in (FVML_SHIFT, QUADRATIC_SHIFT):
             raise DomainError(f"unknown shift kind {self.kind!r}")
-        if not (math.isfinite(self.tau) and self.tau >= 0):
+        if not (math.isfinite(_real(self.tau, DomainError, "tau")) and self.tau >= 0):
             raise DomainError(f"tau must be finite and >= 0, got {self.tau}")
 
     def value(self, t):
@@ -330,11 +330,11 @@ def fvml_llr_second_moment(n: int, p: int, kappa: float) -> float:
     with U the inner product of two uniform points, computed wholly in
     log space.  Raises on overflow (log integrand above 700).
     """
-    if kappa < 0:
-        raise DomainError("kappa must be >= 0")
+    if _integer(n, DomainError, "n") < 2:
+        raise DomainError(f"need n >= 2, got {n}")
+    lck = fvml_log_normalizer(kappa, p)  # checks kappa and p
     if kappa == 0.0:
         return 1.0
-    lck = fvml_log_normalizer(kappa, p)
     lconst = log_coordinate_density_const(p)
 
     def log_integrand(u):
@@ -373,10 +373,11 @@ def fvml_llr_second_moment(n: int, p: int, kappa: float) -> float:
 def competitor_low_rank_power(method: str, n: int, p: int, k: int, alpha: float) -> float:
     """Asymptotic power prediction for a classical test against the
     low-rank uniform alternative with tau = n (1 - k/p)."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real(alpha, DomainError, "alpha") < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if not 2 <= k <= p:
-        raise DomainError(f"need 2 <= k <= p, got k={k}")
+    n, p, k = (_integer(v, DomainError, name) for v, name in ((n, "n"), (p, "p"), (k, "k")))
+    if n < 2 or not 2 <= k <= p:
+        raise DomainError(f"need n >= 2 and 2 <= k <= p, got n={n}, k={k}, p={p}")
     tau = n * (1.0 - k / p)
     z = float(normal_quantile(1.0 - alpha))
     if method == "bingham":

@@ -40,6 +40,7 @@ from .statistics import (
     CALIBRATIONS,
     METHODS,
     NULL_LAWS,
+    OMNIBUS,
     TAILS,
     TestOutcome,
     _run_tests,
@@ -152,7 +153,7 @@ def _fmt(x: float) -> str:
 
 def _cmd_test(args) -> int:
     sample = load_points_csv(args.data, normalize=args.normalize)
-    methods = args.method or list(METHODS[:4])
+    methods = args.method or OMNIBUS
     requests = [(m, args.tail if args.tail in NULL_LAWS[m].tails else "upper") for m in methods]
     # one Monte Carlo null pass serves every method
     mc_seed = args.seed if args.calibration == "monte-carlo" else None
@@ -178,7 +179,7 @@ def _cmd_size(args) -> int:
     cfg = ExperimentConfig(
         n=args.n, p=args.p, alpha=args.alpha, reps=args.reps,
         model_family="uniform", signal_grid=(0.0,),
-        methods=tuple(args.method or METHODS[:4]), seed=args.seed,
+        methods=tuple(args.method or OMNIBUS), seed=args.seed,
     )
     curve = run_size_experiment(cfg, threads=args.threads)
     if args.out:

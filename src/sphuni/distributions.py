@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 
 _CLAMP_SLACK = 1e-12
 
@@ -90,7 +90,7 @@ def null_inner_cdf(t, p: int):
     is elementwise, so every value is the same float whatever the cut.
     A smaller evaluation, or any on one CPU, runs on the calling thread.
     """
-    if p < 2:
+    if _integer(p, DomainError, "p") < 2:
         raise DomainError(f"need p >= 2, got {p}")
     t = np.asarray(t, dtype=float)
     if np.any(t < -1 - _CLAMP_SLACK) or np.any(t > 1 + _CLAMP_SLACK):
@@ -172,7 +172,7 @@ def kolmogorov_cdf(x):
 
 def kolmogorov_quantile(alpha: float) -> float:
     """c with P(sup_t |B_t| > c) = alpha (scipy's inverse Kolmogorov law)."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real(alpha, DomainError, "alpha") < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     return float(special.kolmogi(alpha))
 
@@ -213,7 +213,7 @@ def packing_gumbel_cdf(x):
 
 def packing_gumbel_quantile(alpha: float) -> float:
     """x with exceedance probability alpha under the packing Gumbel null."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real(alpha, DomainError, "alpha") < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     return -2.0 * math.log(-math.sqrt(8.0 * math.pi) * math.log1p(-alpha))
 
@@ -296,9 +296,9 @@ def fvml_log_normalizer(kappa: float, p: int) -> float:
     Computed by adaptive log-space quadrature of the 1-D coordinate
     integral; log C_p(0) = 0 exactly.
     """
-    if kappa < 0:
+    if _real(kappa, DomainError, "kappa") < 0:
         raise DomainError(f"kappa must be >= 0, got {kappa}")
-    if p < 3:
+    if _integer(p, DomainError, "p") < 3:
         raise DomainError(f"need p >= 3, got {p}")
     if kappa == 0.0:
         return 0.0
@@ -381,23 +381,24 @@ class CoordinateMarginal:
         return float(lo), float(hi)
 
 
-@lru_cache(maxsize=128)
+# typed, or a law cached for (10, 1.0) would answer (10.0, True) unchecked
+@lru_cache(maxsize=128, typed=True)
 def _marginal(p: int, kappa: float, power: int) -> CoordinateMarginal:
-    if p < 3:
+    if _integer(p, DomainError, "p") < 3:
         raise DomainError(f"need p >= 3, got {p}")
-    if kappa < 0:
-        raise DomainError(f"kappa must be >= 0, got {kappa}")
-    return CoordinateMarginal(p, kappa, power)
+    if not (math.isfinite(_real(kappa, DomainError, "kappa")) and kappa >= 0):
+        raise DomainError(f"kappa must be finite and >= 0, got {kappa}")
+    return CoordinateMarginal(int(p), float(kappa), power)
 
 
 def fvml_marginal(kappa: float, p: int) -> CoordinateMarginal:
     """Marginal law of mu.X under FvML(kappa) on S^{p-1}."""
-    return _marginal(p, float(kappa), 1)
+    return _marginal(p, kappa, 1)
 
 
 def watson_marginal(kappa: float, p: int) -> CoordinateMarginal:
     """Marginal law of mu.X under Watson(kappa) on S^{p-1}."""
-    return _marginal(p, float(kappa), 2)
+    return _marginal(p, kappa, 2)
 
 
 def null_coordinate_marginal(p: int) -> CoordinateMarginal:

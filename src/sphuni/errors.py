@@ -1,4 +1,6 @@
-"""Exception types raised by sphuni."""
+"""Exception types raised by sphuni, and the number rules that raise them."""
+
+import numbers
 
 
 class SphuniError(Exception):
@@ -43,3 +45,19 @@ class InRegimeError(SphuniError, ValueError):
 
 class ParseError(SphuniError, ValueError):
     """A config or data file could not be parsed; message names the spot."""
+
+
+def _integer(value, error, field: str) -> int:
+    """`value` as an int if it is an int or a numpy integer, else `error`
+    naming `field`: int() would truncate a float and read a bool as 0 or 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{field}: must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, error, field: str) -> float:
+    """`value` as a float if it is a real number but not a bool, else `error`
+    naming `field`: float() would read a string, and comparing one fails."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{field}: must be a number, got {value!r}")
+    return float(value)

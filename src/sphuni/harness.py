@@ -13,12 +13,13 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import BadTailError, ConfigError, InRegimeError, ParseError
-from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, _integer, _master
+from .errors import BadTailError, ConfigError, InRegimeError, ParseError, _integer, _real
+from .samplers import AlphaSpherical, CapMixture, Fvml, LowRank, Uniform, Watson, _master
 from .statistics import (
     BINGHAM,
     CALIBRATIONS,
     METHODS,
+    OMNIBUS,
     PACKING,
     RAYLEIGH,
     SUP_DISTANCE,
@@ -40,6 +41,9 @@ _POWER_FAMILIES = ("uniform", "fvml", "watson", "lowrank")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One power experiment, checked field by field whether it comes from
+    code or from JSON (`load_config`); a bad field raises ConfigError."""
+
     n: int
     p: int
     alpha: float
@@ -55,26 +59,23 @@ class ExperimentConfig:
         # the checked plain ints and float are stored: to_json cannot write numpy's
         for name, size in zip(("n", "p", "reps"), _sizes(n=self.n, p=self.p, reps=self.reps)):
             object.__setattr__(self, name, size)
-        if self.n < 2 or self.p < 2:
-            raise ConfigError(f"field n/p: need n >= 2 and p >= 2, got ({self.n}, {self.p})")
+        _shape(self.n, self.p)
         object.__setattr__(self, "alpha", _alpha(self.alpha))
         if self.reps < 100:
             raise ConfigError(f"field reps: need >= 100, got {self.reps}")
         object.__setattr__(self, "seed", _master(self.seed, ConfigError, "field seed"))
         if self.model_family not in _FAMILIES:
             raise ConfigError(f"field model_family: unknown family {self.model_family!r}")
-        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool)
-                   for t in self.signal_grid):
-            raise ConfigError(
-                f"field signal_grid: every entry must be a number, got {self.signal_grid!r}"
-            )
-        grid = tuple(float(t) for t in self.signal_grid)
+        grid = _entries(self.signal_grid, "signal_grid")
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in grid):
+            raise ConfigError(f"field signal_grid: every entry must be a number, got {grid!r}")
+        grid = tuple(float(t) for t in grid)
         if not grid:
             raise ConfigError("field signal_grid: must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("field signal_grid: must be strictly increasing")
         object.__setattr__(self, "signal_grid", grid)
-        methods = tuple(self.methods)
+        methods = _entries(self.methods, "methods")
         if not methods or any(m not in METHODS for m in methods):
             raise ConfigError(f"field methods: must be a nonempty subset of {METHODS}")
         object.__setattr__(self, "methods", methods)
@@ -97,9 +98,7 @@ class ExperimentConfig:
                 signal_model(self.model_family, self.n, self.p, tau)
 
     def tail_for(self, method: str) -> str:
-        if self.tails and method in self.tails:
-            return self.tails[method]
-        return "upper"
+        return (self.tails or {}).get(method, "upper")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -113,62 +112,55 @@ def _sizes(**sizes) -> tuple[int, ...]:
     return tuple(_integer(v, ConfigError, f"field {k}") for k, v in sizes.items())
 
 
+def _shape(n, p) -> tuple[int, int]:
+    """The sample size n and dimension p as ints, each at least 2."""
+    n, p = _sizes(n=n, p=p)
+    if n < 2 or p < 2:
+        raise ConfigError(f"field n/p: need n >= 2 and p >= 2, got ({n}, {p})")
+    return n, p
+
+
 def _alpha(alpha) -> float:
     """The level `alpha` as a float in (0, 1), else ConfigError naming the field."""
-    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
-        raise ConfigError(f"field alpha: must be a number, got {alpha!r}")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real(alpha, ConfigError, "field alpha") < 1.0:
         raise ConfigError(f"field alpha: must be in (0, 1), got {alpha}")
     return float(alpha)
 
 
-_CONFIG_FIELDS = {
-    "n": int,
-    "p": int,
-    "alpha": float,
-    "reps": int,
-    "model_family": str,
-    "signal_grid": list,
-    "methods": list,
-    "seed": int,
-    "tails": (dict, type(None)),
-    "calibration": str,
-}
-_REQUIRED_FIELDS = tuple(
-    f.name for f in fields(ExperimentConfig)
-    if f.default is MISSING and f.default_factory is MISSING
-)
+def _entries(value, name: str) -> tuple:
+    """The list field `name` as a tuple; a string, a dict or a value that
+    cannot be iterated raises ConfigError naming the field."""
+    try:
+        if not isinstance(value, (str, dict)):
+            return tuple(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"field {name}: must be a list, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read an ExperimentConfig from JSON, naming the offending field on error."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read an ExperimentConfig from a JSON object.  ExperimentConfig
+    checks every field, and its error is raised as a ParseError that
+    names the file and the field."""
     try:
-        raw = json.loads(text)
+        with open(path) as fh:
+            raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from None
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
-    for key in _REQUIRED_FIELDS:
-        if key not in raw:
+    # each field, and whether a config must give it
+    must = {f.name: f.default is MISSING for f in fields(ExperimentConfig)}
+    for key in must:
+        if must[key] and key not in raw:
             raise ParseError(f"{path}: missing field {key!r}")
-    for key, val in raw.items():
-        want = _CONFIG_FIELDS.get(key)
-        if want is None:
+    for key in raw:
+        if key not in must:
             raise ParseError(f"{path}: unknown field {key!r}")
-        # no field is a bool, and JSON's true and false would pass for the ints 1 and 0
-        want = want if isinstance(want, tuple) else (want,)
-        if isinstance(val, bool) or not isinstance(val, want):
-            raise ParseError(f"{path}: field {key!r} has wrong type {type(val).__name__}")
-    for x in raw["signal_grid"]:
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ParseError(f"{path}: field 'signal_grid' has an entry {json.dumps(x)} "
-                             "that is not a number")
-    kwargs = {k: raw[k] for k in raw}
-    kwargs["signal_grid"] = tuple(float(x) for x in raw["signal_grid"])
-    kwargs["methods"] = tuple(raw["methods"])
-    return ExperimentConfig(**kwargs)
+    try:
+        return ExperimentConfig(**raw)
+    except ConfigError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def signal_model(family: str, n: int, p: int, tau: float):
@@ -178,7 +170,8 @@ def signal_model(family: str, n: int, p: int, tau: float):
     watson:  kappa = p^{3/2} sqrt(tau) / (2 (sqrt(n) + sqrt(tau p)))
     lowrank: k = round(p (1 - tau/n))
     """
-    if not (math.isfinite(tau) and tau >= 0):
+    n, p = _shape(n, p)
+    if not (math.isfinite(_real(tau, ConfigError, "field signal_grid")) and tau >= 0):
         raise ConfigError(f"field signal_grid: tau must be finite and >= 0, got {tau}")
     if family == "uniform":
         return Uniform(p)
@@ -398,10 +391,9 @@ def run_nonlocal_experiment(
         model = AlphaSpherical(p, 1.0 if model_param is None else model_param)
     else:
         raise ConfigError(f"unknown nonlocal kind {kind!r}")
-    methods = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING)
-    stats = _replicate(model, n, methods, reps, lambda r: _cell_rng(master, kind, 0, r), threads)
-    pv = {meth: p_values(meth, stats[meth], n) for meth in methods}
-    rates = {meth: int(np.count_nonzero(pv[meth] <= alpha)) / reps for meth in methods}
+    stats = _replicate(model, n, OMNIBUS, reps, lambda r: _cell_rng(master, kind, 0, r), threads)
+    pv = {meth: p_values(meth, stats[meth], n) for meth in OMNIBUS}
+    rates = {meth: int(np.count_nonzero(pv[meth] <= alpha)) / reps for meth in OMNIBUS}
     r_vals, b_vals = stats[RAYLEIGH], stats[BINGHAM]
     return NonlocalResult(
         kind=kind,

@@ -12,7 +12,6 @@ sample.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, Union
@@ -20,7 +19,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .distributions import CoordinateMarginal, _marginal
-from .errors import DomainError
+from .errors import DomainError, _integer, _real
 from .points import _NORM_SCRATCH, UnitPointSet, _norms, _own_unit_point_set
 
 __all__ = [
@@ -65,7 +64,7 @@ class _Tilt:
         _int_fields(self, "p")
         if self.p < 3:
             raise DomainError(f"need p >= 3, got {self.p}")
-        if not (math.isfinite(self.kappa) and self.kappa >= 0):
+        if not (math.isfinite(_real(self.kappa, DomainError, "kappa")) and self.kappa >= 0):
             raise DomainError(f"kappa must be finite and >= 0, got {self.kappa}")
 
     @property
@@ -102,7 +101,7 @@ class AlphaSpherical:
         _int_fields(self, "p")
         if self.p < 2:
             raise DomainError(f"need p >= 2, got {self.p}")
-        if not 0.0 < self.alpha < 2.0:
+        if not 0.0 < _real(self.alpha, DomainError, "alpha") < 2.0:
             raise DomainError(f"alpha must be in (0, 2), got {self.alpha}")
 
 
@@ -117,7 +116,7 @@ class CapMixture:
             raise DomainError(f"need p >= 3, got {self.p}")
         if self.eps is None:
             object.__setattr__(self, "eps", 1.0 / (4.0 * self.p))
-        if not 0.0 < self.eps < math.pi / 4.0:
+        if not 0.0 < _real(self.eps, DomainError, "eps") < math.pi / 4.0:
             raise DomainError(f"need 0 < eps < pi/4, got {self.eps}")
 
 
@@ -139,15 +138,6 @@ class RngSeed:
         return np.random.default_rng(
             np.random.SeedSequence(self.master, spawn_key=(self.stream,))
         )
-
-
-def _integer(value, error, field: str) -> int:
-    """`value` as an int when it is an int or a numpy integer; anything
-    else raises `error` naming `field`, since int() would truncate a float
-    and read a bool as 0 or 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise error(f"{field}: must be an integer, got {value!r}")
-    return int(value)
 
 
 def _int_fields(spec, *names: str) -> None:
@@ -408,7 +398,8 @@ def _cap_angle_table(p: int, eps: float) -> InverseCdfTable:
 
 def sample_uniform_direction(p: int, rng) -> np.ndarray:
     """One uniform draw on S^{p-1}: a normalized standard Gaussian vector."""
-    p = _integer(p, DomainError, "p")
+    if _integer(p, DomainError, "p") < 2:
+        raise DomainError(f"need p >= 2, got {p}")
     rng = _as_rng(rng, "rng")
     return _unit_normals(rng.standard_normal((1, 1, p)), [rng])[0, 0]
 

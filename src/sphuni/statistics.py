@@ -20,9 +20,9 @@ from .distributions import (
     normal_cdf,
     packing_gumbel_cdf,
 )
-from .errors import BadTailError, CalibrationUnavailableError, DomainError
+from .errors import BadTailError, CalibrationUnavailableError, DomainError, _integer, _real
 from .points import InnerProductList, UnitPointSet, _row_norms, _sorted_pairs
-from .samplers import RngSeed, Uniform, _draw_block, _integer, _master, sample_uniform_direction
+from .samplers import RngSeed, Uniform, _draw_block, _master, sample_uniform_direction
 
 SUP_DISTANCE = "sup_distance"
 RAYLEIGH = "rayleigh"
@@ -30,6 +30,7 @@ BINGHAM = "bingham"
 PACKING = "packing"
 PROJECTION = "projection"
 METHODS = (SUP_DISTANCE, RAYLEIGH, BINGHAM, PACKING, PROJECTION)
+OMNIBUS = METHODS[:4]  # the tests of the pairwise inner products
 TAILS = ("upper", "two-sided")
 CALIBRATIONS = ("asymptotic", "monte-carlo")
 
@@ -163,23 +164,26 @@ def _projections(x: np.ndarray, directions: np.ndarray, p: int) -> np.ndarray:
     return _sup_null_rows(proj, p)
 
 
+def _pairwise(method: str, s: UnitPointSet, ip: InnerProductList | None = None) -> float:
+    """`method`'s `NULL_LAWS` rows of `ip`, or of `s.inner_products`, as a stack of one."""
+    ip = ip if ip is not None else s.inner_products
+    return float(NULL_LAWS[method].rows(ip.values[None], s.n, s.p)[0])
+
+
 def statistic_sup_distance(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """Sup distance between the empirical pairwise inner-product CDF and
     the exact null CDF.  Always in [0, 1]."""
-    ip = ip if ip is not None else s.inner_products
-    return sup_null_distance(ip.values, s.p)
+    return _pairwise(SUP_DISTANCE, s, ip)
 
 
 def statistic_rayleigh(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """sqrt(2p)/n times the sum of pairwise inner products (N(0,1) null limit)."""
-    ip = ip if ip is not None else s.inner_products
-    return float(_rayleigh(ip.values, s.n, s.p))
+    return _pairwise(RAYLEIGH, s, ip)
 
 
 def statistic_bingham(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
     """p/n times the centered sum of squared pairwise inner products."""
-    ip = ip if ip is not None else s.inner_products
-    return float(_bingham(ip.values, s.n, s.p))
+    return _pairwise(BINGHAM, s, ip)
 
 
 def statistic_packing(s: UnitPointSet, ip: InnerProductList | None = None) -> float:
@@ -187,8 +191,7 @@ def statistic_packing(s: UnitPointSet, ip: InnerProductList | None = None) -> fl
 
     Needs n >= 3 so that log log n is defined.
     """
-    ip = ip if ip is not None else s.inner_products
-    return float(_packing(ip.values, s.n, s.p))
+    return _pairwise(PACKING, s, ip)
 
 
 def statistic_projection(s: UnitPointSet, direction) -> float:
@@ -199,15 +202,6 @@ def statistic_projection(s: UnitPointSet, direction) -> float:
         raise DomainError("direction must be a unit p-vector")
     return float(_projections(s.data[None], u[None], s.p)[0])
 
-
-_STAT_FUNCS = {
-    SUP_DISTANCE: statistic_sup_distance,
-    RAYLEIGH: statistic_rayleigh,
-    BINGHAM: statistic_bingham,
-    PACKING: statistic_packing,
-}
-# the pairwise statistics as functions of sorted values (..., N), n and p
-_MOMENTS = {RAYLEIGH: _rayleigh, BINGHAM: _bingham, PACKING: _packing}
 
 # A block of replications shares one workspace of about this many floats
 # per stacked array: the (B, n, p) rows and the (B, n, n) Gram.  B = 10
@@ -240,7 +234,7 @@ def _replicate(
         raise DomainError(f"need n >= 2, got {n}")
     p = model.p
     size = max(1, min(_REP_BLOCK_ELEMS // (n * max(n, p)), -(-reps // max(1, threads))))
-    pairwise = any(m in _STAT_FUNCS for m in methods)
+    pairwise = any(m != PROJECTION for m in methods)
     out = {m: np.empty(reps) for m in methods}
     local = threading.local()
 
@@ -265,12 +259,8 @@ def _replicate(
         if pairwise:
             _sorted_pairs(x, gram, values)
         for m in methods:
-            if m == PROJECTION:
-                stat = _projections(x, directions, p)
-            elif m == SUP_DISTANCE:
-                stat = _sup_null_rows(values, p)
-            else:
-                stat = _MOMENTS[m](values, n, p)
+            rows = NULL_LAWS[m].rows
+            stat = _projections(x, directions, p) if rows is None else rows(values, n, p)
             out[m][start : start + b] = stat
 
     starts = range(0, reps, size)
@@ -310,24 +300,29 @@ class TestOutcome:
 
 
 class NullLaw(NamedTuple):
-    """A method's asymptotic null law and the tails its test may use.
+    """A method's statistic, its asymptotic null law and its tails.
 
-    A statistic T of a sample of size n is standardized to
-    z = scale(n) T, and `upper(z)` is P(T >= t) under the null at
-    z = scale(n) t, elementwise on an array.
+    `rows(values, n, p)` is the statistic of each row of sorted pairwise
+    inner products (R, N) of samples of n points in dimension p (None
+    for projection, which `_projections` scores on a direction).  A
+    statistic T of a sample of size n is standardized to z = scale(n) T,
+    and `upper(z)` is P(T >= t) under the null at z = scale(n) t,
+    elementwise on an array; `tails` are those its test may use.
     """
 
+    rows: Callable | None
     scale: Callable
     upper: Callable
     tails: tuple[str, ...]
 
 
 NULL_LAWS = {
-    SUP_DISTANCE: NullLaw(lambda n: math.sqrt(n * (n - 1) / 2.0), kolmogorov_sf, ("upper",)),
-    RAYLEIGH: NullLaw(lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
-    BINGHAM: NullLaw(lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
-    PACKING: NullLaw(lambda n: 1.0, lambda z: 1.0 - packing_gumbel_cdf(z), TAILS),
-    PROJECTION: NullLaw(math.sqrt, kolmogorov_sf, ("upper",)),
+    SUP_DISTANCE: NullLaw(lambda values, n, p: _sup_null_rows(values, p),
+                          lambda n: math.sqrt(n * (n - 1) / 2.0), kolmogorov_sf, ("upper",)),
+    RAYLEIGH: NullLaw(_rayleigh, lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
+    BINGHAM: NullLaw(_bingham, lambda n: 1.0, lambda z: 1.0 - normal_cdf(z), TAILS),
+    PACKING: NullLaw(_packing, lambda n: 1.0, lambda z: 1.0 - packing_gumbel_cdf(z), TAILS),
+    PROJECTION: NullLaw(None, math.sqrt, kolmogorov_sf, ("upper",)),
 }
 
 
@@ -404,7 +399,7 @@ def _run_tests(
     for method, _ in requests:
         if method not in METHODS:
             raise DomainError(f"unknown method {method!r}; choose from {METHODS}")
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _real(alpha, DomainError, "alpha") < 1.0:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     for method, tail in requests:
         _check_tail(method, tail)
@@ -419,15 +414,13 @@ def _run_tests(
 
     stats = []
     for method, _ in requests:
-        if method == PROJECTION:
-            u = direction
-            if u is None:
-                u = sample_uniform_direction(
-                    s.p, rng if rng is not None else np.random.default_rng()
-                )
-            stats.append(statistic_projection(s, u))
-        else:
-            stats.append(_STAT_FUNCS[method](s))
+        if method != PROJECTION:
+            stats.append(_pairwise(method, s))
+            continue
+        u = direction
+        if u is None:
+            u = sample_uniform_direction(s.p, rng if rng is not None else np.random.default_rng())
+        stats.append(statistic_projection(s, u))
 
     nulls, label = {}, "asymptotic"
     if calibration == "monte-carlo":
@@ -543,7 +536,7 @@ def calibrate_critical_value_mc(
     for a key scores them."""
     if _integer(reps, DomainError, "reps") < 1000:
         raise DomainError("calibration needs reps >= 1000")
-    if not 0.0 < alpha <= 1.0:
+    if not 0.0 < _real(alpha, DomainError, "alpha") <= 1.0:
         raise DomainError(f"alpha must be in (0, 1], got {alpha}")
     master = _master(seed, DomainError, "seed")
     stats = _null_statistics(n, p, (method,), reps, master)[method]
@@ -552,4 +545,6 @@ def calibrate_critical_value_mc(
 
 def sup_distance_critical_value(n: int, alpha: float) -> float:
     """sqrt(2) c_alpha / sqrt(n(n-1)), the exact asymptotic threshold."""
+    if _integer(n, DomainError, "n") < 2:
+        raise DomainError(f"need n >= 2, got {n}")
     return math.sqrt(2.0) * kolmogorov_quantile(alpha) / math.sqrt(n * (n - 1.0))

@@ -409,6 +409,34 @@ def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, 
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ShiftFunction("fvml", "1"), "tau: must be a number, got '1'"),
+    (lambda: predict_asymptotic_power(ShiftFunction("fvml", 1.0), "0.05"),
+     "alpha: must be a number, got '0.05'"),
+    (lambda: competitor_low_rank_power("bingham", 20.5, 30, 10, 0.05),
+     "n: must be an integer, got 20.5"),
+    (lambda: competitor_low_rank_power("bingham", 20, 30, 10.5, 0.05),
+     "k: must be an integer, got 10.5"),
+    (lambda: competitor_low_rank_power("bingham", 20, 30.0, 10, 0.05),
+     "p: must be an integer, got 30.0"),
+    (lambda: competitor_low_rank_power("packing", 1, 30, 10, 0.05),
+     "need n >= 2 and 2 <= k <= p, got n=1, k=10, p=30"),
+    (lambda: competitor_low_rank_power("bingham", 20, 30, 10, "0.05"),
+     "alpha: must be a number, got '0.05'"),
+    (lambda: fvml_llr_second_moment(20.5, 30, 1.0), "n: must be an integer, got 20.5"),
+    (lambda: fvml_llr_second_moment(1, 30, 1.0), "need n >= 2, got 1"),
+    (lambda: fvml_llr_second_moment(20, 30.5, 1.0), "p: must be an integer, got 30.5"),
+    (lambda: fvml_llr_second_moment(20, 30, "1"), "kappa: must be a number, got '1'"),
+], ids=["shift-tau", "predict-alpha", "competitor-n", "competitor-k", "competitor-p",
+        "competitor-n-one", "competitor-alpha", "llr-n", "llr-n-one", "llr-p", "llr-kappa"])
+def test_bad_number_raises_domain_error_naming_the_field(call, message):
+    # competitor_low_rank_power(..., 20.5, ...) returned 0.99999989 and
+    # fvml_llr_second_moment(20.5, 30, 1.0) 1.0074; the strings raised a
+    # TypeError naming no field
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_mc_distance_needs_enough_pairs():
     with pytest.raises(DomainError):
         estimate_distance_mc(Uniform(10), 100, RngSeed(0))

@@ -171,6 +171,16 @@ def test_cmd_distance_nan_tau_names_the_field(capsys):
     assert "field signal_grid: tau must be finite and >= 0, got nan" in captured.err
 
 
+@pytest.mark.parametrize("model", ["fvml", "watson", "lowrank"])
+def test_cmd_distance_n_below_two_exits_1(model, capsys):
+    # fvml and lowrank died with a ZeroDivisionError traceback in signal_model
+    rc = main(["distance", "--model", model, "--n", "0", "--p", "10"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "sphuni distance: field n/p: need n >= 2 and p >= 2, got (0, 10)\n"
+
+
 def test_cmd_distance_lowrank(capsys):
     rc = main(["distance", "--model", "lowrank", "--n", "1000", "--p", "10000",
                "--tau", "2.0", "--mode", "quadrature"])
@@ -341,7 +351,7 @@ def test_cmd_power_config_value_not_a_number_exits_1(tmp_path, capsys, field, va
     rc = main(["power", "--config", str(cfg_path), "--threads", "1"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert f"field '{field}'" in captured.err
+    assert f"field {field}: " in captured.err
     assert captured.out == ""
 
 

@@ -441,3 +441,36 @@ def test_table_and_pair_grid_run_no_quadrature(monkeypatch):
 def test_marginal_checks_its_arguments_at_construction(make):
     with pytest.raises(DomainError):
         make()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: null_inner_cdf(0.1, 2.5), "p: must be an integer, got 2.5"),
+    (lambda: null_inner_cdf(0.1, "5"), "p: must be an integer, got '5'"),
+    (lambda: fvml_marginal(1.0, 3.5), "p: must be an integer, got 3.5"),
+    (lambda: watson_marginal(1.0, True), "p: must be an integer, got True"),
+    (lambda: fvml_marginal("1", 10), "kappa: must be a number, got '1'"),
+    (lambda: fvml_marginal(math.nan, 10), "kappa must be finite and >= 0, got nan"),
+    (lambda: watson_marginal(math.inf, 10), "kappa must be finite and >= 0, got inf"),
+    (lambda: fvml_log_normalizer("1", 10), "kappa: must be a number, got '1'"),
+    (lambda: fvml_log_normalizer(1.0, 10.5), "p: must be an integer, got 10.5"),
+    (lambda: kolmogorov_quantile("0.05"), "alpha: must be a number, got '0.05'"),
+    (lambda: packing_gumbel_quantile(True), "alpha: must be a number, got True"),
+], ids=["cdf-p-float", "cdf-p-string", "fvml-p-float", "watson-p-bool", "fvml-kappa-string",
+        "fvml-kappa-nan", "watson-kappa-inf", "normalizer-kappa", "normalizer-p",
+        "kolmogorov-alpha", "gumbel-alpha"])
+def test_bad_number_raises_domain_error_naming_the_field(call, message):
+    # null_inner_cdf(0.1, 2.5) returned 0.5418, a string raised a TypeError
+    # naming nothing, and a NaN kappa or a float p built a marginal
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_marginal_cache_does_not_answer_for_an_unchecked_twin():
+    # 10.0 == 10 and True == 1 hash alike, so an untyped cache would hand
+    # the checked law of (10, 1.0) to (10.0, True) without a check
+    fvml_marginal(1.0, 10)
+    with pytest.raises(DomainError, match="^p: must be an integer, got 10.0$"):
+        fvml_marginal(1.0, 10.0)
+    with pytest.raises(DomainError, match="^kappa: must be a number, got True$"):
+        fvml_marginal(True, 10)
+    assert fvml_marginal(np.float64(1.0), np.int64(10)).p == 10

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import warnings
@@ -9,6 +8,7 @@ import pytest
 
 from sphuni import (
     ConfigError,
+    DomainError,
     ExperimentConfig,
     Fvml,
     InRegimeError,
@@ -28,7 +28,7 @@ from sphuni import (
     signal_model,
 )
 from sphuni import harness, statistics
-from sphuni.harness import _CONFIG_FIELDS, NonlocalResult, _calibration_seed, _cell_rng
+from sphuni.harness import NonlocalResult, _calibration_seed, _cell_rng
 from sphuni.statistics import (
     METHODS,
     NULL_LAWS,
@@ -89,7 +89,7 @@ def test_config_wrong_type_names_field(tmp_path):
     cfg["reps"] = "many"
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ParseError, match="'reps'"):
+    with pytest.raises(ParseError, match="field reps: "):
         load_config(path)
 
 
@@ -111,7 +111,7 @@ def test_config_entry_not_a_json_number_names_field(tmp_path, field, value):
     cfg[field] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    with pytest.raises(ParseError, match=f"field '{field}'"):
+    with pytest.raises(ParseError, match=f"field {field}: "):
         load_config(path)
 
 
@@ -122,8 +122,33 @@ def test_config_signal_grid_entries_must_be_numbers(grid):
     assert _cfg(signal_grid=(1, np.float64(2.5))).signal_grid == (1.0, 2.5)
 
 
-def test_config_json_fields_are_the_dataclass_fields():
-    assert list(_CONFIG_FIELDS) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+@pytest.mark.parametrize("field, value", [
+    ("signal_grid", 5),
+    ("signal_grid", None),
+    ("signal_grid", "1.0"),
+    ("methods", 5),
+    ("methods", {"rayleigh": 1}),
+    ("methods", np.array(3)),
+], ids=["grid-int", "grid-none", "grid-string", "methods-int", "methods-dict", "methods-0d"])
+def test_config_list_field_that_is_not_a_list_names_field(field, value):
+    # a value that is not iterable raised a bare TypeError, and a dict
+    # passed for the list of its keys
+    with pytest.raises(ConfigError, match=f"^field {field}: must be a list, got "):
+        _cfg(**{field: value})
+    assert _cfg(signal_grid=np.array([1.0, 2.0])).signal_grid == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("signal_grid", 5), ("signal_grid", None), ("methods", 5),
+], ids=["grid-int", "grid-null", "methods-int"])
+def test_config_json_list_field_that_is_not_a_list_names_file_and_field(tmp_path, field, value):
+    cfg = json.loads(_cfg().to_json())
+    cfg[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(ParseError) as err:
+        load_config(path)
+    assert str(err.value) == f"{path}: field {field}: must be a list, got {value!r}"
 
 
 def test_config_hash_pinned():
@@ -174,12 +199,22 @@ def test_config_invariants():
      "field reps: must be an integer"),
     (lambda: run_nonlocal_experiment("alphaspherical", 20, 400, "0.05", 10, seed=1),
      "field alpha: must be a number"),
+    (lambda: signal_model("fvml", 20.5, 30, 1.0), "field n: must be an integer, got 20.5"),
+    (lambda: signal_model("fvml", 0, 10, 1.0), r"field n/p: need n >= 2 and p >= 2, got \(0, 10\)$"),
+    (lambda: signal_model("lowrank", 0, 10, 1.0),
+     r"field n/p: need n >= 2 and p >= 2, got \(0, 10\)$"),
+    (lambda: signal_model("watson", 20, -5, 1.0),
+     r"field n/p: need n >= 2 and p >= 2, got \(20, -5\)$"),
+    (lambda: signal_model("fvml", 20, 30, "1"), "field signal_grid: must be a number, got '1'$"),
 ], ids=["config-n", "config-p", "config-reps", "config-alpha", "config-tails",
         "nulldist-n", "nulldist-reps", "nulldist-threads", "nonlocal-n", "nonlocal-p",
-        "nonlocal-reps", "nonlocal-alpha"])
+        "nonlocal-reps", "nonlocal-alpha", "signal-n-float", "signal-fvml-n-zero",
+        "signal-lowrank-n-zero", "signal-watson-p-negative", "signal-tau-string"])
 def test_bad_size_or_level_raises_config_error_naming_the_field(call, message):
     # the config accepted these and run_power_curve raised inside numpy,
-    # or they raised numpy's TypeError, or Python's from `tails.items()`
+    # or they raised numpy's TypeError, or Python's from `tails.items()`;
+    # signal_model mapped n = 20.5, ended n = 0 in a ZeroDivisionError and
+    # a negative p in math's "domain error", and compared a string tau
     with pytest.raises(ConfigError, match=f"^{message}"):
         call()
 
@@ -247,6 +282,15 @@ def test_signal_map_out_of_regime():
 def test_signal_map_rejects_bad_tau(family, tau):
     with pytest.raises(ConfigError, match="field signal_grid: tau must be finite"):
         signal_model(family, 10, 10, tau)
+
+
+@pytest.mark.parametrize("kind, param, field", [
+    ("alphaspherical", "1", "alpha"), ("capmixture", "0.01", "eps"),
+])
+def test_nonlocal_model_param_that_is_not_a_number_names_the_spec_field(kind, param, field):
+    # the spec's range check raised a TypeError naming no field
+    with pytest.raises(DomainError, match=f"^{field}: must be a number, got '{param}'$"):
+        run_nonlocal_experiment(kind, 20, 5000, 0.05, 10, seed=1, model_param=param)
 
 
 def test_watson_marginal_regime_warns():

@@ -544,6 +544,22 @@ def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, 
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Fvml(5, "1"), "kappa: must be a number, got '1'"),
+    (lambda: Watson(5, None), "kappa: must be a number, got None"),
+    (lambda: AlphaSpherical(5, "1"), "alpha: must be a number, got '1'"),
+    (lambda: AlphaSpherical(5, True), "alpha: must be a number, got True"),
+    (lambda: CapMixture(10, "0.01"), "eps: must be a number, got '0.01'"),
+    (lambda: sample_uniform_direction(0, 1), "need p >= 2, got 0"),
+], ids=["fvml", "watson-none", "alphaspherical", "alphaspherical-bool", "capmixture",
+        "direction-p-zero"])
+def test_bad_parameter_raises_domain_error_naming_the_field(call, message):
+    # each raised a TypeError from its range check, naming no field, and a
+    # direction in p = 0 numpy's ValueError from a reshape
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
 def test_numpy_integer_sizes_are_stored_as_ints():
     spec = LowRank(np.int64(10), np.uint8(4))
     assert (type(spec.p), type(spec.k), repr(spec)) == (int, int, "LowRank(p=10, k=4)")

@@ -44,7 +44,6 @@ from sphuni import (
 from sphuni.distributions import _null_cdf_table
 from sphuni.samplers import _cap_block
 from sphuni.statistics import (
-    _STAT_FUNCS,
     METHODS,
     PROJECTION,
     _null_statistics,
@@ -53,6 +52,16 @@ from sphuni.statistics import (
     _sup_null_rows,
     p_values,
 )
+
+
+# the public one-sample functions of the pairwise statistics, the
+# reference that every stacked row path is checked against
+STATISTICS = {
+    "sup_distance": statistic_sup_distance,
+    "rayleigh": statistic_rayleigh,
+    "bingham": statistic_bingham,
+    "packing": statistic_packing,
+}
 
 
 def _rand_sample(n, p, seed):
@@ -593,11 +602,18 @@ def test_run_test_computes_gram_once_per_sample(monkeypatch):
 
     monkeypatch.setattr(points, "pairwise_inner_products", spy)
     s = sample(Fvml(30, 4.0), 25, RngSeed(61))
-    outs = {m: run_test(s, m) for m in _STAT_FUNCS}
+    outs = {m: run_test(s, m) for m in STATISTICS}
     assert calls == [s]
     fresh = pairwise_inner_products(s)
     for m, out in outs.items():
-        assert out.statistic == _STAT_FUNCS[m](s, fresh)
+        assert out.statistic == STATISTICS[m](s, fresh)
+
+
+def test_null_laws_hold_every_pairwise_statistic():
+    # the omnibus four are the methods scored on the pairwise inner
+    # products; projection alone scores a sample on a direction
+    assert statistics.OMNIBUS == tuple(m for m in METHODS if statistics.NULL_LAWS[m].rows)
+    assert statistics.NULL_LAWS[PROJECTION].rows is None
 
 
 def test_outcome_csv_row():
@@ -651,7 +667,7 @@ def _scores(s, methods, rng) -> dict[str, float]:
     return {
         meth: statistic_projection(s, sample_uniform_direction(s.p, rng))
         if meth == PROJECTION
-        else _STAT_FUNCS[meth](s)
+        else STATISTICS[meth](s)
         for meth in methods
     }
 
@@ -740,6 +756,23 @@ def test_calibration_names_its_own_seed():
 def test_size_that_is_not_an_integer_raises_domain_error_naming_the_field(call, field):
     # each passed the range check and failed inside numpy with a TypeError
     with pytest.raises(DomainError, match=rf"^{field}: must be an integer, got "):
+        call(_rand_sample(10, 6, 14))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda s: run_test(s, "rayleigh", alpha="0.05"), "alpha: must be a number, got '0.05'"),
+    (lambda s: run_test(s, "rayleigh", alpha=True), "alpha: must be a number, got True"),
+    (lambda s: calibrate_critical_value_mc(10, 6, "rayleigh", None, 1000, 1),
+     "alpha: must be a number, got None"),
+    (lambda s: sup_distance_critical_value(1, 0.05), "need n >= 2, got 1"),
+    (lambda s: sup_distance_critical_value(10.5, 0.05), "n: must be an integer, got 10.5"),
+    (lambda s: sup_distance_critical_value(10, "0.05"), "alpha: must be a number, got '0.05'"),
+], ids=["run-test-alpha", "run-test-alpha-bool", "calibrate-alpha", "critical-n-one",
+        "critical-n-float", "critical-alpha"])
+def test_bad_number_raises_domain_error_naming_the_field(call, message):
+    # the strings and None raised a TypeError from the range check, naming
+    # no field, and n = 1 a ZeroDivisionError
+    with pytest.raises(DomainError, match=f"^{message}$"):
         call(_rand_sample(10, 6, 14))
 
 
